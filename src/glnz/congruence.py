@@ -161,11 +161,11 @@ def unipotent_sqrt_sl2(T: IntMatrix) -> tuple[IntMatrix, ...]:
     """
     if T.n != 2 or T.det() != 1 or T.trace() != 2:
         raise ValueError("matrix is not unipotent in SL(2, Z)")
-    N = T - IntMatrix.identity(2)
+    N = T.shifted(-1)
     if any(x % 2 for row in N.rows for x in row):
         return ()
     half = IntMatrix(tuple(tuple(x // 2 for x in row) for row in N.rows))
-    X = IntMatrix.identity(2) + half
+    X = half.shifted(1)
     if X * X != T:
         raise RuntimeError("square-root construction failed")
     return tuple(sorted((X, -X), key=lambda m: m.rows))
@@ -242,7 +242,7 @@ class CommutatorReport:
 
 
 def _has_eigenvalue_minus_one(M: IntMatrix) -> bool:
-    return (M + IntMatrix.identity(M.n)).det() == 0
+    return M.shifted(1).det() == 0
 
 
 def commutator_identities() -> CommutatorReport:

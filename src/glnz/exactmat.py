@@ -8,6 +8,7 @@ sublattices are equal as values.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -35,7 +36,8 @@ __all__ = [
 
 
 def _vec(v: Sequence[int]) -> Vector:
-    return tuple(int(x) for x in v)
+    """Entries as ints; a non-integral entry such as 1.7 raises TypeError."""
+    return tuple(map(operator.index, v))
 
 
 def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
@@ -46,7 +48,7 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
     into ``[0, pivot)``, zero rows at the bottom.  When ``transform`` is set,
     ``U`` is unimodular with ``U @ rows == H``; otherwise ``U`` is None.
     """
-    H = [[int(x) for x in r] for r in rows]
+    H = [list(map(operator.index, r)) for r in rows]
     m = len(H)
     ncols = len(H[0]) if m else 0
     if any(len(r) != ncols for r in H):
@@ -91,9 +93,32 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
     return H, U, r
 
 
-def _matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]):
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+def _matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """A @ B, row i being the combination of B's rows with A's row i as
+    coefficients; zero coefficients are skipped and +-1 need no product."""
+    width = len(B[0])
+    out = []
+    for row in A:
+        acc = [0] * width
+        for a, brow in zip(row, B):
+            if not a:
+                continue
+            if a == 1:
+                acc = [x + y for x, y in zip(acc, brow)]
+            elif a == -1:
+                acc = [x - y for x, y in zip(acc, brow)]
+            else:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _trusted(rows: tuple[Vector, ...]) -> "IntMatrix":
+    """IntMatrix over rows the kernel just computed: a non-empty square
+    tuple of tuples of ints.  Skips the validation of ``IntMatrix(...)``."""
+    M = object.__new__(IntMatrix)
+    object.__setattr__(M, "rows", rows)
+    return M
 
 
 @dataclass(frozen=True)
@@ -118,7 +143,7 @@ class IntMatrix:
     def diagonal(entries: Sequence[int]) -> "IntMatrix":
         n = len(entries)
         return IntMatrix(
-            tuple(tuple(int(entries[i]) if i == j else 0 for j in range(n)) for i in range(n))
+            tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
         )
 
     @staticmethod
@@ -127,7 +152,7 @@ class IntMatrix:
         if i == j:
             raise ValueError("shear indices must differ")
         rows = [[int(a == b) for b in range(n)] for a in range(n)]
-        rows[i][j] = int(c)
+        rows[i][j] = c
         return IntMatrix(tuple(tuple(r) for r in rows))
 
     @staticmethod
@@ -150,7 +175,7 @@ class IntMatrix:
         return tuple(zip(*self.rows))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        return _trusted(tuple(zip(*self.rows)))
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
@@ -171,7 +196,7 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if other.n != self.n:
                 raise ValueError("dimension mismatch")
-            return IntMatrix(tuple(tuple(r) for r in _matmul(self.rows, other.rows)))
+            return _trusted(_matmul(self.rows, other.rows))
         if isinstance(other, Lattice):
             if other.ambient_rank != self.n:
                 raise ValueError("dimension mismatch")
@@ -183,17 +208,28 @@ class IntMatrix:
     __matmul__ = __mul__
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
+        return _trusted(
             tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(
+        if other.n != self.n:
+            raise ValueError("dimension mismatch")
+        return _trusted(
             tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return _trusted(tuple(tuple(-a for a in r) for r in self.rows))
+
+    def shifted(self, c: int) -> "IntMatrix":
+        """self + c*I, changing only the diagonal."""
+        c = operator.index(c)
+        return _trusted(
+            tuple(r[:i] + (r[i] + c,) + r[i + 1 :] for i, r in enumerate(self.rows))
+        )
 
     def __pow__(self, k: int) -> "IntMatrix":
         if k < 0:
@@ -234,7 +270,7 @@ class IntMatrix:
         H, U, _ = row_hermite(self.rows, transform=True)
         if any(H[i][j] != (i == j) for i in range(self.n) for j in range(self.n)):
             raise ValueError("matrix is not invertible over the integers")
-        return IntMatrix(tuple(tuple(r) for r in U))
+        return _trusted(tuple(map(tuple, U)))
 
     @property
     def is_automorphism(self) -> bool:
@@ -254,7 +290,7 @@ class Lattice:
     basis: tuple[Vector, ...] = ()
 
     def __post_init__(self) -> None:
-        n = int(self.ambient_rank)
+        n = operator.index(self.ambient_rank)
         if n < 1:
             raise ValueError("ambient rank must be positive")
         cols = [list(_vec(c)) for c in self.basis]
@@ -403,20 +439,21 @@ def random_unimodular(n: int, word_length: int, entry_bound: int, seed: int) -> 
     if n < 1 or entry_bound < 1 or word_length < 0:
         raise ValueError("parameters out of range")
     rng = random.Random(seed)
-    M = IntMatrix.identity(n)
+    cols = _identity_columns(n)
     for _ in range(word_length):
         if n >= 2 and rng.random() < 0.75:
             i, j = rng.sample(range(n), 2)
             c = rng.randint(1, entry_bound) * rng.choice((1, -1))
-            factor = IntMatrix.elementary(n, i, j, c)
+            _shear_columns(cols, i, j, c)
         else:
+            # right factor with entry s_j at (perm[j], j): column j of the
+            # product is s_j times column perm[j]
             perm = rng.sample(range(n), n)
-            rows = [[0] * n for _ in range(n)]
-            for j in range(n):
-                rows[perm[j]][j] = rng.choice((1, -1))
-            factor = IntMatrix(tuple(tuple(r) for r in rows))
-        M = M * factor
-    return M
+            cols = [
+                cols[perm[j]] if rng.choice((1, -1)) == 1 else [-x for x in cols[perm[j]]]
+                for j in range(n)
+            ]
+    return _trusted(tuple(zip(*cols)))
 
 
 def random_elementary_word(n: int, word_length: int, entry_bound: int, seed: int) -> IntMatrix:
@@ -424,12 +461,21 @@ def random_elementary_word(n: int, word_length: int, entry_bound: int, seed: int
     if n < 2 or entry_bound < 1 or word_length < 0:
         raise ValueError("parameters out of range")
     rng = random.Random(seed)
-    M = IntMatrix.identity(n)
+    cols = _identity_columns(n)
     for _ in range(word_length):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(1, entry_bound) * rng.choice((1, -1))
-        M = M * IntMatrix.elementary(n, i, j, c)
-    return M
+        _shear_columns(cols, i, j, c)
+    return _trusted(tuple(zip(*cols)))
+
+
+def _identity_columns(n: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def _shear_columns(cols: list[list[int]], i: int, j: int, c: int) -> None:
+    """cols <- cols @ (I + c*E_ij): column j gains c times column i."""
+    cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
 
 
 def restriction_matrix(M: IntMatrix, L: Lattice) -> IntMatrix:
@@ -443,11 +489,10 @@ def restriction_matrix(M: IntMatrix, L: Lattice) -> IntMatrix:
     H, U, r = row_hermite(B, transform=True)
     if r != k or any(H[i][j] != (i == j) for i in range(k) for j in range(k)):
         raise ValueError("lattice is not saturated")
-    MB = [[sum(M.rows[i][t] * B[t][j] for t in range(n)) for j in range(k)] for i in range(n)]
-    Y = _matmul(U, MB)
+    Y = _matmul(U, _matmul(M.rows, B))
     if any(Y[i][j] for i in range(k, n) for j in range(k)):
         raise ValueError("lattice is not invariant under the matrix")
-    return IntMatrix(tuple(tuple(Y[i]) for i in range(k)))
+    return _trusted(Y[:k])
 
 
 def basis_completion(cols: Sequence[Sequence[int]]) -> IntMatrix:
@@ -462,4 +507,4 @@ def basis_completion(cols: Sequence[Sequence[int]]) -> IntMatrix:
     H, U, r = row_hermite(B, transform=True)
     if r != k or any(H[i][j] != (i == j) for i in range(k) for j in range(k)):
         raise ValueError("columns do not span a saturated lattice")
-    return IntMatrix(tuple(tuple(r_) for r_ in U)).inverse()
+    return _trusted(tuple(map(tuple, U))).inverse()

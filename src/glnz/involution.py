@@ -19,6 +19,7 @@ from .exactmat import (
     element_order,
     kernel_lattice,
     rank_mod2,
+    rational_rank,
     restriction_matrix,
     row_hermite,
 )
@@ -128,22 +129,25 @@ def _demand_involution(M: IntMatrix) -> None:
 def eigen_lattices(P: IntMatrix) -> tuple[Lattice, Lattice]:
     """The saturated summands of vectors fixed by P and negated by P."""
     _demand_involution(P)
-    I = IntMatrix.identity(P.n)
-    return kernel_lattice(P - I), kernel_lattice(P + I)
+    return kernel_lattice(P.shifted(-1)), kernel_lattice(P.shifted(1))
 
 
 def residue(P: IntMatrix) -> int:
     """GF(2) rank of P - I; equals the number p of swap pairs."""
     _demand_involution(P)
-    return rank_mod2(P - IntMatrix.identity(P.n))
+    return rank_mod2(P.shifted(-1))
 
 
 def profile(P: IntMatrix) -> InvolutionProfile:
-    plus, minus = eigen_lattices(P)
-    p = rank_mod2(P - IntMatrix.identity(P.n))
-    a = plus.rank - p
-    b = minus.rank - p
-    if a < 0 or b < 0 or a + b + 2 * p != P.n:
+    """Block sizes from ranks: the eigen lattices of P have ranks
+    n - rank_Q(P - I) = a + p and n - rank_Q(P + I) = b + p."""
+    _demand_involution(P)
+    n = P.n
+    p_minus_i = P.shifted(-1)
+    p = rank_mod2(p_minus_i)
+    a = n - rational_rank(p_minus_i) - p
+    b = n - rational_rank(P.shifted(1)) - p
+    if a < 0 or b < 0 or a + b + 2 * p != n:
         raise RuntimeError("inconsistent involution invariants")
     return InvolutionProfile(a, b, p, p == 0)
 
@@ -181,21 +185,20 @@ def _decompose(Q: IntMatrix) -> tuple[list[Vector], list[Vector], list[tuple[Vec
     complement to recurse on.
     """
     k = Q.n
-    I = IntMatrix.identity(k)
-    diff = Q - I
+    diff = Q.shifted(-1)
     odd_col = next(
         (j for j in range(k) if any(diff.rows[i][j] % 2 for i in range(k))), None
     )
     if odd_col is None:
         plus = kernel_lattice(diff)
-        minus = kernel_lattice(Q + I)
+        minus = kernel_lattice(Q.shifted(1))
         return list(plus.basis), list(minus.basis), []
 
     v = tuple(int(i == odd_col) for i in range(k))
     S = Lattice(k, (v, Q.column(odd_col))).saturate()
     Qs = restriction_matrix(Q, S)
-    (up,) = kernel_lattice(Qs - IntMatrix.identity(2)).basis
-    (um,) = kernel_lattice(Qs + IntMatrix.identity(2)).basis
+    (up,) = kernel_lattice(Qs.shifted(-1)).basis
+    (um,) = kernel_lattice(Qs.shifted(1)).basis
     if any((x + y) % 2 for x, y in zip(up, um)):
         raise RuntimeError("swap-pair extraction failed")
     w2 = tuple((x + y) // 2 for x, y in zip(up, um))
@@ -249,7 +252,8 @@ def canonical_form(P: IntMatrix) -> CanonicalBasis:
         pairs=tuple((a + b + 2 * t, a + b + 2 * t + 2) for t in range(p)),
     )
     result = CanonicalBasis(U=U, profile=prof, layout=layout)
-    if abs(U.det()) != 1 or U.inverse() * P * U != result.block_matrix():
+    # with |det U| = 1, P U = U B is the same as U^-1 P U = B
+    if abs(U.det()) != 1 or P * U != U * result.block_matrix():
         raise RuntimeError("canonical basis postcondition violated")
     return result
 

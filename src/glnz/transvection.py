@@ -68,7 +68,7 @@ def recognize_transvection(M: IntMatrix) -> TransvectionData | None:
     opposite sign is absorbed into x.
     """
     n = M.n
-    N = M - IntMatrix.identity(n)
+    N = M.shifted(-1)
     j0 = next((j for j in range(n) if any(N.rows[i][j] for i in range(n))), None)
     if j0 is None:
         return None

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from glnz.exactmat import (
     IntMatrix,
+    Lattice,
     basis_completion,
     content_and_primitive,
     element_order,
@@ -307,3 +308,109 @@ class TestSaturationAndRestriction:
             assert abs(V.det()) == 1
             for j in range(k):
                 assert V.column(j) == cols[j]
+
+
+def _reference_product(A, B):
+    """A @ B by the dot-product definition."""
+    n = len(A)
+    return tuple(
+        tuple(sum(A[i][t] * B[t][j] for t in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def _unimodular_by_factors(n, word_length, entry_bound, seed):
+    """random_unimodular as an explicit product of its factor matrices."""
+    rng = random.Random(seed)
+    M = IntMatrix.identity(n)
+    for _ in range(word_length):
+        if n >= 2 and rng.random() < 0.75:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(1, entry_bound) * rng.choice((1, -1))
+            factor = IntMatrix.elementary(n, i, j, c)
+        else:
+            perm = rng.sample(range(n), n)
+            rows = [[0] * n for _ in range(n)]
+            for j in range(n):
+                rows[perm[j]][j] = rng.choice((1, -1))
+            factor = IntMatrix(tuple(tuple(r) for r in rows))
+        M = IntMatrix(_reference_product(M.rows, factor.rows))
+    return M
+
+
+def _elementary_word_by_factors(n, word_length, entry_bound, seed):
+    rng = random.Random(seed)
+    M = IntMatrix.identity(n)
+    for _ in range(word_length):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(1, entry_bound) * rng.choice((1, -1))
+        M = IntMatrix(_reference_product(M.rows, IntMatrix.elementary(n, i, j, c).rows))
+    return M
+
+
+# zeros and +-1 take their own branches in the product; the wide range
+# goes past 2^64
+kernel_entries = st.one_of(
+    st.sampled_from((0, 0, 0, 1, -1)),
+    st.integers(-9, 9),
+    st.integers(-(2**80), 2**80),
+)
+
+
+def _kernel_matrices(n, count):
+    row = st.tuples(*[kernel_entries] * n)
+    return st.tuples(*[st.tuples(*[row] * n)] * count)
+
+
+class TestKernelDifferential:
+    @given(st.integers(1, 8).flatmap(lambda n: _kernel_matrices(n, 2)), kernel_entries)
+    @settings(max_examples=120, deadline=None)
+    def test_arithmetic_matches_reference(self, pair, c):
+        a, b = pair
+        A, B = IntMatrix(a), IntMatrix(b)
+        n = A.n
+        product = (A * B).rows
+        assert product == _reference_product(a, b)
+        assert all(type(r) is tuple for r in product)
+        assert A * B == IntMatrix(_reference_product(a, b))
+        assert (A + B).rows == tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+        assert (A - B).rows == tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
+        assert (-A).rows == tuple(tuple(-x for x in r) for r in a)
+        assert A.shifted(c) == A + IntMatrix.diagonal([c] * n)
+
+    @given(st.integers(1, 8), st.integers(0, 30), st.integers(1, 5), st.integers(0, 2**32))
+    @settings(max_examples=150, deadline=None)
+    def test_random_unimodular_matches_factor_product(self, n, word_length, bound, seed):
+        expected = _unimodular_by_factors(n, word_length, bound, seed)
+        assert random_unimodular(n, word_length, bound, seed) == expected
+        if n >= 2:
+            assert random_elementary_word(n, word_length, bound, seed) == (
+                _elementary_word_by_factors(n, word_length, bound, seed)
+            )
+
+
+class TestBoundaryValidation:
+    def test_non_integral_entries_rejected(self):
+        with pytest.raises(TypeError):
+            IntMatrix(((1.7, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            IntMatrix(((1.0, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            IntMatrix.diagonal((1.5, 1))
+        with pytest.raises(TypeError):
+            IntMatrix.elementary(2, 0, 1, 2.5)
+        with pytest.raises(TypeError):
+            Lattice(2, ((0.5, 1),))
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2).shifted(0.5)
+
+    def test_bools_read_as_ints(self):
+        M = IntMatrix(((True, False), (False, True)))
+        assert M == IntMatrix.identity(2)
+        assert all(type(x) is int for row in M.rows for x in row)
+        assert IntMatrix.diagonal((True, -1)).rows == ((1, 0), (0, -1))
+
+    def test_sum_and_difference_demand_equal_sizes(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            IntMatrix.identity(2) + IntMatrix.identity(3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            IntMatrix.identity(3) - IntMatrix.identity(2)

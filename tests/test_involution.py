@@ -19,6 +19,7 @@ from glnz.involution import (
     NONDIAGONALIZABLE_OTHER,
     ONE_PERMUTATION,
     InvolutionKind,
+    InvolutionProfile,
     canonical_block,
     canonical_form,
     classify,
@@ -266,3 +267,25 @@ class TestInvolutionFromSplitting:
     def test_rejects_non_basis(self):
         with pytest.raises(ValueError):
             involution_from_splitting([(1, 0), (0, 2)], [])
+
+
+ALL_SHAPES = [
+    (a, n - 2 * p - a, p)
+    for n in range(1, 9)
+    for p in range(n // 2 + 1)
+    for a in range(n - 2 * p + 1)
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**30))
+def test_rank_profile_matches_eigen_lattices(seed):
+    # the profile comes from ranks of P -+ I; the eigen lattices it no longer
+    # builds must still have ranks a + p and b + p
+    rng = random.Random(seed)
+    for a, b, p in ALL_SHAPES:
+        n = a + b + 2 * p
+        P = conj(canonical_block(a, b, p), random_unimodular(n, 8, 2, rng.randrange(1 << 30)))
+        plus, minus = eigen_lattices(P)
+        assert (plus.rank, minus.rank) == (a + p, b + p)
+        assert profile(P) == InvolutionProfile(a, b, p, p == 0)
