@@ -27,7 +27,6 @@ from .exactmat import (
     basis_completion,
     content_and_primitive,
     element_order,
-    hnf,
     kernel_lattice,
     random_elementary_word,
     random_unimodular,
@@ -35,6 +34,7 @@ from .exactmat import (
     rational_rank,
     restriction_matrix,
     row_hermite,
+    shear_word,
     summand_index,
 )
 from .involution import (

@@ -4,7 +4,8 @@ Matrices travel as documents {"n": k, "rows": [[...], ...]}; entries that
 do not fit in 64 bits are serialized as decimal strings so nothing is ever
 rounded.  All results go to stdout as a single JSON value, diagnostics to
 stderr.  Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 verification suite found a counterexample.
+4 verification suite found a counterexample, 5 internal error (a
+postcondition of the library failed).
 """
 
 from __future__ import annotations
@@ -311,6 +312,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

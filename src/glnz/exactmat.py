@@ -23,7 +23,6 @@ __all__ = [
     "basis_completion",
     "content_and_primitive",
     "element_order",
-    "hnf",
     "kernel_lattice",
     "random_elementary_word",
     "random_unimodular",
@@ -31,6 +30,7 @@ __all__ = [
     "rational_rank",
     "restriction_matrix",
     "row_hermite",
+    "shear_word",
     "summand_index",
 ]
 
@@ -149,11 +149,7 @@ class IntMatrix:
     @staticmethod
     def elementary(n: int, i: int, j: int, c: int) -> "IntMatrix":
         """The shear I + c*E_ij (adds c times coordinate j to coordinate i)."""
-        if i == j:
-            raise ValueError("shear indices must differ")
-        rows = [[int(a == b) for b in range(n)] for a in range(n)]
-        rows[i][j] = c
-        return IntMatrix(tuple(tuple(r) for r in rows))
+        return shear_word(n, ((i, j, c),))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -347,20 +343,6 @@ def _kernel_vectors(rows: Sequence[Sequence[int]]) -> list[Vector]:
     return [tuple(U[i]) for i in range(r, n)]
 
 
-def hnf(cols: Iterable[Sequence[int]], ambient_rank: int | None = None) -> Lattice:
-    """Canonical lattice spanned by the given column vectors.
-
-    Idempotent: feeding a lattice's basis back reproduces the same value.
-    ``ambient_rank`` is only needed when ``cols`` is empty.
-    """
-    cols = [_vec(c) for c in cols]
-    if ambient_rank is None:
-        if not cols:
-            raise ValueError("ambient rank required for an empty generating set")
-        ambient_rank = len(cols[0])
-    return Lattice(ambient_rank, tuple(cols))
-
-
 def kernel_lattice(M: IntMatrix) -> Lattice:
     """The saturated lattice {v : M v = 0}."""
     return Lattice(M.n, tuple(_kernel_vectors(M.rows)))
@@ -436,24 +418,38 @@ def random_unimodular(n: int, word_length: int, entry_bound: int, seed: int) -> 
     The result always has determinant +-1; identical arguments give the
     identical matrix.
     """
+    return _random_unimodular_pair(n, word_length, entry_bound, seed)[0]
+
+
+def _random_unimodular_pair(
+    n: int, word_length: int, entry_bound: int, seed: int
+) -> tuple[IntMatrix, IntMatrix]:
+    """``random_unimodular(...)`` and its inverse, built side by side: each
+    right factor F of U enters U^-1 as F^-1 on the left, a row operation."""
     if n < 1 or entry_bound < 1 or word_length < 0:
         raise ValueError("parameters out of range")
     rng = random.Random(seed)
-    cols = _identity_columns(n)
+    cols = _identity_columns(n)  # columns of U
+    inv = _identity_columns(n)  # rows of U^-1
     for _ in range(word_length):
         if n >= 2 and rng.random() < 0.75:
             i, j = rng.sample(range(n), 2)
             c = rng.randint(1, entry_bound) * rng.choice((1, -1))
             _shear_columns(cols, i, j, c)
+            inv[i] = [x - c * y for x, y in zip(inv[i], inv[j])]
         else:
-            # right factor with entry s_j at (perm[j], j): column j of the
-            # product is s_j times column perm[j]
+            # right factor with entry s_j at (perm[j], j): column j of U
+            # becomes s_j times column perm[j], and row j of U^-1 becomes
+            # s_j times row perm[j]
             perm = rng.sample(range(n), n)
-            cols = [
-                cols[perm[j]] if rng.choice((1, -1)) == 1 else [-x for x in cols[perm[j]]]
-                for j in range(n)
-            ]
-    return _trusted(tuple(zip(*cols)))
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            cols = [cols[p] if s == 1 else [-x for x in cols[p]] for p, s in zip(perm, signs)]
+            inv = [inv[p] if s == 1 else [-x for x in inv[p]] for p, s in zip(perm, signs)]
+    U = _trusted(tuple(zip(*cols)))
+    U_inv = _trusted(tuple(map(tuple, inv)))
+    if not (U * U_inv).is_identity():
+        raise RuntimeError("carried inverse of the random unimodular matrix is wrong")
+    return U, U_inv
 
 
 def random_elementary_word(n: int, word_length: int, entry_bound: int, seed: int) -> IntMatrix:
@@ -461,10 +457,31 @@ def random_elementary_word(n: int, word_length: int, entry_bound: int, seed: int
     if n < 2 or entry_bound < 1 or word_length < 0:
         raise ValueError("parameters out of range")
     rng = random.Random(seed)
-    cols = _identity_columns(n)
+    shears = []
     for _ in range(word_length):
         i, j = rng.sample(range(n), 2)
-        c = rng.randint(1, entry_bound) * rng.choice((1, -1))
+        shears.append((i, j, rng.randint(1, entry_bound) * rng.choice((1, -1))))
+    return shear_word(n, shears)
+
+
+def shear_word(n: int, shears: Iterable[tuple[int, int, int]]) -> IntMatrix:
+    """The product (I + c_1 E_{i_1 j_1}) ... (I + c_k E_{i_k j_k}) of the
+    shears (i, j, c), left to right; the empty word gives I.
+
+    Each factor is one column operation, O(n), not a matrix product.
+    Indices must differ and lie in [0, n); entries are read with
+    ``operator.index``, so a float raises TypeError.
+    """
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("matrix must be square and non-empty")
+    cols = _identity_columns(n)
+    for i, j, c in shears:
+        i, j, c = operator.index(i), operator.index(j), operator.index(c)
+        if i == j:
+            raise ValueError("shear indices must differ")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"shear index out of range for n = {n}: ({i}, {j})")
         _shear_columns(cols, i, j, c)
     return _trusted(tuple(zip(*cols)))
 
@@ -498,6 +515,13 @@ def restriction_matrix(M: IntMatrix, L: Lattice) -> IntMatrix:
 def basis_completion(cols: Sequence[Sequence[int]]) -> IntMatrix:
     """Unimodular matrix whose first k columns are exactly the given
     columns; requires the columns to span a saturated rank-k lattice."""
+    return _basis_completion_pair(cols)[0]
+
+
+def _basis_completion_pair(cols: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
+    """``basis_completion(cols)`` as V together with V^-1.  The Hermite
+    transform U with U B = [I_k; 0] is V^-1 by construction, so V is its
+    one inverse."""
     cols = [_vec(c) for c in cols]
     if not cols:
         raise ValueError("nothing to complete")
@@ -507,4 +531,5 @@ def basis_completion(cols: Sequence[Sequence[int]]) -> IntMatrix:
     H, U, r = row_hermite(B, transform=True)
     if r != k or any(H[i][j] != (i == j) for i in range(k) for j in range(k)):
         raise ValueError("columns do not span a saturated lattice")
-    return _trusted(tuple(map(tuple, U))).inverse()
+    V_inv = _trusted(tuple(map(tuple, U)))
+    return V_inv.inverse(), V_inv

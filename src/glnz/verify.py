@@ -23,12 +23,13 @@ from .exactmat import (
     IntMatrix,
     Lattice,
     Vector,
-    basis_completion,
+    _basis_completion_pair,
+    _random_unimodular_pair,
     content_and_primitive,
     element_order,
     rank_mod2,
-    random_unimodular,
     rational_rank,
+    shear_word,
 )
 from .involution import (
     EXTREMAL,
@@ -95,19 +96,22 @@ def _failure(trial: int, reason: str, inputs: dict) -> dict:
     }
 
 
-def _rand_u(rng: random.Random, n: int, word_length: int = 8, entry_bound: int = 2) -> IntMatrix:
-    return random_unimodular(n, word_length, entry_bound, rng.randrange(1 << 30))
+def _rand_u(
+    rng: random.Random, n: int, word_length: int = 8, entry_bound: int = 2
+) -> tuple[IntMatrix, IntMatrix]:
+    """A seeded random unimodular U and its inverse."""
+    return _random_unimodular_pair(n, word_length, entry_bound, rng.randrange(1 << 30))
 
 
-def _conj(M: IntMatrix, U: IntMatrix) -> IntMatrix:
-    return U * M * U.inverse()
+def _conj(M: IntMatrix, U: IntMatrix, U_inv: IntMatrix) -> IntMatrix:
+    return U * M * U_inv
 
 
 def _sample_involution(rng: random.Random, n: int, a: int, b: int, p: int) -> IntMatrix:
     """Seeded unimodular conjugate of the canonical (a, b, p) involution;
     the preserved profile is asserted."""
     seed_matrix = canonical_block(a, b, p)
-    P = _conj(seed_matrix, _rand_u(rng, n))
+    P = _conj(seed_matrix, *_rand_u(rng, n))
     prof = profile(P)
     if (prof.a, prof.b, prof.p) != (a, b, p):
         raise _TrialFailure("conjugation did not preserve the profile")
@@ -152,8 +156,8 @@ def _suite_order3(n: int, trials: int, rng: random.Random) -> list[dict]:
             for _ in range(5):
                 signs = [rng.choice((1, -1)) for _ in range(n)]
                 D = IntMatrix.diagonal(signs)
-                phi1 = _conj(D, _rand_u(rng, n))
-                phi2 = _conj(D, _rand_u(rng, n))
+                phi1 = _conj(D, *_rand_u(rng, n))
+                phi2 = _conj(D, *_rand_u(rng, n))
                 if element_order(phi1 * phi2, 3) == 3:
                     inputs["phi1"], inputs["phi2"] = phi1, phi2
                     raise _TrialFailure(
@@ -175,16 +179,16 @@ def _suite_two_involution_products(n: int, trials: int, rng: random.Random) -> l
         try:
             extremal_seed = canonical_block(n - 1, 1, 0)
             if t % 2 == 0:
-                U = _rand_u(rng, n)
+                U, U_inv = _rand_u(rng, n)
                 i, j = rng.sample(range(n), 2)
                 d1, d2 = [1] * n, [1] * n
                 d1[i] = -1
                 d2[j] = -1
-                phi1 = _conj(IntMatrix.diagonal(d1), U)
-                phi2 = _conj(IntMatrix.diagonal(d2), U)
+                phi1 = _conj(IntMatrix.diagonal(d1), U, U_inv)
+                phi2 = _conj(IntMatrix.diagonal(d2), U, U_inv)
             else:
-                phi1 = _conj(extremal_seed, _rand_u(rng, n))
-                phi2 = _conj(extremal_seed, _rand_u(rng, n))
+                phi1 = _conj(extremal_seed, *_rand_u(rng, n))
+                phi2 = _conj(extremal_seed, *_rand_u(rng, n))
             inputs["phi1"], inputs["phi2"] = phi1, phi2
             for phi in (phi1, phi2):
                 if classify(phi).name != EXTREMAL:
@@ -206,8 +210,8 @@ def _suite_two_involution_products(n: int, trials: int, rng: random.Random) -> l
                 rows[lo][lo], rows[lo][lo + 1] = 0, -1
                 rows[lo + 1][lo], rows[lo + 1][lo + 1] = 1, 0
             sigma0 = IntMatrix(tuple(tuple(r) for r in rows))
-            W = _rand_u(rng, n)
-            rho, sigma = _conj(rho0, W), _conj(sigma0, W)
+            W, W_inv = _rand_u(rng, n)
+            rho, sigma = _conj(rho0, W, W_inv), _conj(sigma0, W, W_inv)
             inputs["rho"], inputs["sigma"] = rho, sigma
             if sigma * sigma != rho:
                 raise _TrialFailure("rotation construction is not a square root")
@@ -231,8 +235,8 @@ def _suite_four_involutions(n: int, trials: int, rng: random.Random) -> list[dic
                 pi_seed = canonical_block(n - 2, 0, 1)  # negated rank 1
             else:
                 pi_seed = canonical_block(0, n - 2, 1)  # fixed rank 1
-            pi1 = _conj(pi_seed, _rand_u(rng, n, word_length=6))
-            pi2 = _conj(pi_seed, _rand_u(rng, n, word_length=6))
+            pi1 = _conj(pi_seed, *_rand_u(rng, n, word_length=6))
+            pi2 = _conj(pi_seed, *_rand_u(rng, n, word_length=6))
             inputs["pi1"], inputs["pi2"] = pi1, pi2
             for pi in (pi1, pi2):
                 if classify(pi).name != ONE_PERMUTATION:
@@ -343,7 +347,7 @@ def _suite_shared_summand(n: int, trials: int, rng: random.Random) -> list[dict]
     for t in range(trials):
         inputs: dict = {}
         try:
-            U = _rand_u(rng, n)
+            U, _ = _rand_u(rng, n)
             cols = [list(c) for c in U.columns()]
             coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
             if not any(coeffs):
@@ -409,7 +413,7 @@ def _suite_summand_encoding(n: int, trials: int, rng: random.Random) -> list[dic
     for t in range(trials):
         inputs: dict = {}
         try:
-            U = _rand_u(rng, n)
+            U, _ = _rand_u(rng, n)
             cols = [list(c) for c in U.columns()]
 
             def line(base: int, coeffs):
@@ -553,13 +557,14 @@ def _suite_rank3_identities(n: int, trials: int, rng: random.Random) -> list[dic
     return failures
 
 
-def _random_gamma2(rng: random.Random, n: int, length: int = 10) -> IntMatrix:
-    M = IntMatrix.identity(n)
+def _random_gamma2(rng: random.Random, n: int, length: int = 10) -> tuple[IntMatrix, IntMatrix]:
+    """A level-2 element as a word of even shears, and its inverse: the
+    reversed word with negated coefficients."""
+    word = []
     for _ in range(length):
         i, j = rng.sample(range(n), 2)
-        c = 2 * rng.randint(1, 2) * rng.choice((1, -1))
-        M = M * IntMatrix.elementary(n, i, j, c)
-    return M
+        word.append((i, j, 2 * rng.randint(1, 2) * rng.choice((1, -1))))
+    return shear_word(n, word), shear_word(n, [(i, j, -c) for i, j, c in reversed(word)])
 
 
 def _line_mover(target: Vector, i: int, n: int) -> IntMatrix:
@@ -577,12 +582,12 @@ def _line_mover(target: Vector, i: int, n: int) -> IntMatrix:
         return IntMatrix(tuple(tuple(r) for r in rows))
     c2, g = content_and_primitive(rest)
     block = lift_row_to_sl3(a, c2)
-    V = basis_completion([_unit(n, i), g])
+    V, V_inv = _basis_completion_pair([_unit(n, i), g])
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
     rows[0][0], rows[0][1] = block.rows[0][0], block.rows[0][1]
     rows[1][0], rows[1][1] = block.rows[1][0], block.rows[1][1]
     core = IntMatrix(tuple(tuple(r) for r in rows))
-    return V * core * V.inverse()
+    return V * core * V_inv
 
 
 def _suite_congruence_summands(n: int, trials: int, rng: random.Random) -> list[dict]:
@@ -595,11 +600,10 @@ def _suite_congruence_summands(n: int, trials: int, rng: random.Random) -> list[
     for t in range(trials):
         inputs: dict = {}
         try:
-            sigma = _random_gamma2(rng, n)
+            sigma, sigma_inv = _random_gamma2(rng, n)
             inputs["sigma"] = sigma
             if not in_gamma(sigma, 2):
                 raise _TrialFailure("sampled element is not a level-2 member")
-            sigma_inv = sigma.inverse()
             for i in range(n):
                 mover = _line_mover(sigma.column(i), i, n)
                 if mover.column(i) != sigma.column(i):
@@ -613,7 +617,7 @@ def _suite_congruence_summands(n: int, trials: int, rng: random.Random) -> list[
                 hyper = Lattice(n, tuple(units[j] for j in range(n) if j != i))
                 if sigma * hyper != rho * hyper:
                     raise _TrialFailure("hyperplane images differ")
-            outside = _rand_u(rng, n)
+            outside, _ = _rand_u(rng, n)
             if in_gamma(outside, 2):
                 outside = outside * IntMatrix.elementary(n, 0, 1, 1)
             inputs["outside"] = outside

@@ -272,6 +272,18 @@ class TestVerifyCommand:
         assert json.loads(out)["passed"] is False
 
 
+class TestInternalError:
+    def test_postcondition_failure_exits_5(self, capsys, monkeypatch):
+        def broken(M):
+            raise RuntimeError("factorization does not reproduce the input")
+
+        monkeypatch.setattr(congruence, "elementary_factorization", broken)
+        code, out, err = run_cli(capsys, ["factor"], SWAP_DOC, monkeypatch)
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: factorization does not reproduce the input\n"
+
+
 class TestFileInput:
     def test_file_flag(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -68,6 +68,17 @@ class TestElementaryFactorization:
             assert F.product() == M
             assert all(f.c != 0 and f.i != f.j for f in F.factors)
 
+    def test_product_rejects_float_coefficient(self):
+        F = Factorization(3, (ElementaryFactor(0, 1, 2), ElementaryFactor(1, 2, 1.5)))
+        with pytest.raises(TypeError):
+            F.product()
+
+    def test_product_rejects_indices_outside_range(self):
+        # -1 used to wrap around to the last coordinate
+        for i, j in ((0, -1), (-1, 0), (0, 3), (3, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                Factorization(3, (ElementaryFactor(i, j, 2),)).product()
+
     def test_identity_factorization_is_empty(self):
         assert len(elementary_factorization(IntMatrix.identity(3))) == 0
 

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from glnz.exactmat import (
     IntMatrix,
     Lattice,
+    _basis_completion_pair,
+    _random_unimodular_pair,
     basis_completion,
     content_and_primitive,
     element_order,
-    hnf,
     kernel_lattice,
     random_elementary_word,
     random_unimodular,
     rank_mod2,
     rational_rank,
     restriction_matrix,
+    shear_word,
     summand_index,
 )
 
@@ -42,10 +44,10 @@ def square_matrix_strategy(max_n=4):
 
 class TestHnf:
     def test_diagonal_already_canonical(self):
-        assert hnf([(2, 0), (0, 3)]).basis == ((2, 0), (0, 3))
+        assert Lattice(2, ((2, 0), (0, 3))).basis == ((2, 0), (0, 3))
 
     def test_duplicate_column_collapse(self):
-        assert hnf([(1, 0), (1, 0)]).basis == ((1, 0),)
+        assert Lattice(2, ((1, 0), (1, 0))).basis == ((1, 0),)
 
     def test_gcd_reduction_matches_enumeration(self):
         # oracle: all small integer combinations of the generators
@@ -55,7 +57,7 @@ class TestHnf:
             for a in range(-6, 7)
             for b in range(-6, 7)
         }
-        lattice = hnf(gens)
+        lattice = Lattice(2, tuple(gens))
         assert lattice.rank == 1
         (basis,) = lattice.basis
         # every small combination is a multiple of the basis vector and
@@ -65,27 +67,28 @@ class TestHnf:
             assert lattice.contains(v)
 
     def test_zero_columns_permitted(self):
-        assert hnf([(0, 0), (1, 2)]).basis == ((1, 2),)
-        assert hnf([], ambient_rank=3).rank == 0
+        assert Lattice(2, ((0, 0), (1, 2))).basis == ((1, 2),)
+        assert Lattice(3).rank == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            hnf([(1, 0), (1, 0, 0)])
+            Lattice(2, ((1, 0), (1, 0, 0)))
 
     @given(columns_strategy())
     @settings(max_examples=150)
     def test_idempotent(self, cols):
-        lattice = hnf(cols)
-        assert hnf(lattice.basis, lattice.ambient_rank) == lattice
+        lattice = Lattice(len(cols[0]), tuple(cols))
+        assert Lattice(lattice.ambient_rank, lattice.basis) == lattice
 
     @given(columns_strategy())
     @settings(max_examples=100)
     def test_span_is_preserved(self, cols):
-        lattice = hnf(cols)
+        n = len(cols[0])
+        lattice = Lattice(n, tuple(cols))
         for c in cols:
             assert lattice.contains(c)
         for b in lattice.basis:
-            assert hnf(cols) == hnf(list(cols) + [b])
+            assert Lattice(n, tuple(cols)) == Lattice(n, tuple(cols) + (b,))
 
 
 class TestKernel:
@@ -100,7 +103,7 @@ class TestKernel:
         ]:
             M = IntMatrix(rows)
             K = kernel_lattice(M)
-            assert K == hnf([expected])
+            assert K == Lattice(2, (expected,))
             brute = {
                 (x, y)
                 for x in range(-5, 6)
@@ -129,19 +132,19 @@ class TestKernel:
 
 class TestSummandIndex:
     def test_unit_vectors(self):
-        assert summand_index(hnf([(1, 0)]), hnf([(0, 1)])) == 1
+        assert summand_index(Lattice(2, ((1, 0),)), Lattice(2, ((0, 1),))) == 1
 
     def test_index_two_examples(self):
-        assert summand_index(hnf([(-2, 1)]), hnf([(0, 1)])) == 2
-        assert summand_index(hnf([(1, 1)]), hnf([(1, -1)])) == 2
+        assert summand_index(Lattice(2, ((-2, 1),)), Lattice(2, ((0, 1),))) == 2
+        assert summand_index(Lattice(2, ((1, 1),)), Lattice(2, ((1, -1),))) == 2
 
     def test_rank_violation_reported(self):
         with pytest.raises(ValueError, match="ranks"):
-            summand_index(hnf([(1, 0)]), hnf([(1, 0), (0, 1)]))
+            summand_index(Lattice(2, ((1, 0),)), Lattice(2, ((1, 0), (0, 1))))
 
     def test_intersection_reported(self):
         with pytest.raises(ValueError, match="intersect"):
-            summand_index(hnf([(1, 0, 0)]), hnf([(1, 0, 0), (0, 1, 0)]))
+            summand_index(Lattice(3, ((1, 0, 0),)), Lattice(3, ((1, 0, 0), (0, 1, 0))))
 
     def test_index_one_iff_sum_covers_basis(self):
         rng = random.Random(5)
@@ -151,11 +154,11 @@ class TestSummandIndex:
             k = rng.randint(1, n - 1)
             scale = rng.choice((1, 2, 3))
             cols = [list(c) for c in U.columns()]
-            L1 = hnf([[scale * x for x in cols[0]]] + cols[1:k], n)
-            L2 = hnf(cols[k:], n)
+            L1 = Lattice(n, tuple([[scale * x for x in cols[0]]] + cols[1:k]))
+            L2 = Lattice(n, tuple(cols[k:]))
             idx = summand_index(L1, L2)
             # brute-force membership of every standard basis vector in L1 + L2
-            sum_lattice = hnf(list(L1.basis) + list(L2.basis), n)
+            sum_lattice = Lattice(n, L1.basis + L2.basis)
             unit_all_in = all(
                 sum_lattice.contains(tuple(int(i == j) for j in range(n)))
                 for i in range(n)
@@ -278,14 +281,14 @@ def _product(xs):
 
 class TestSaturationAndRestriction:
     def test_saturate_scaled_line(self):
-        L = hnf([(2, 4)], 2)
-        assert L.saturate() == hnf([(1, 2)], 2)
+        L = Lattice(2, ((2, 4),))
+        assert L.saturate() == Lattice(2, ((1, 2),))
         assert not L.is_saturated()
         assert L.saturate().is_saturated()
 
     def test_full_rank_saturates_to_everything(self):
-        assert hnf([(2, 0), (0, 3)]).saturate().rank == 2
-        assert hnf([(2, 0), (0, 3)]).saturate() == hnf([(1, 0), (0, 1)])
+        assert Lattice(2, ((2, 0), (0, 3))).saturate().rank == 2
+        assert Lattice(2, ((2, 0), (0, 3))).saturate() == Lattice(2, ((1, 0), (0, 1)))
 
     def test_restriction_reproduces_action(self):
         P = IntMatrix(((1, 0), (-1, -1)))
@@ -295,7 +298,7 @@ class TestSaturationAndRestriction:
     def test_restriction_requires_invariance(self):
         swap = IntMatrix(((0, 1), (1, 0)))
         with pytest.raises(ValueError, match="invariant"):
-            restriction_matrix(swap, hnf([(1, 0)]))
+            restriction_matrix(swap, Lattice(2, ((1, 0),)))
 
     def test_basis_completion(self):
         rng = random.Random(11)
@@ -386,6 +389,72 @@ class TestKernelDifferential:
             assert random_elementary_word(n, word_length, bound, seed) == (
                 _elementary_word_by_factors(n, word_length, bound, seed)
             )
+
+
+def _shears(n):
+    index = st.integers(0, n - 1)
+    shear = st.tuples(index, index, kernel_entries).filter(lambda s: s[0] != s[1])
+    return st.lists(shear, max_size=12)
+
+
+class TestShearWord:
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), _shears(n))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_product_of_elementary_factors(self, case):
+        n, shears = case
+        expected = IntMatrix.identity(n)
+        for i, j, c in shears:
+            factor = IntMatrix.elementary(n, i, j, c)
+            expected = IntMatrix(_reference_product(expected.rows, factor.rows))
+        assert shear_word(n, shears) == expected
+        assert shear_word(n, iter(shears)) == expected
+
+    def test_empty_word_is_identity(self):
+        for n in range(1, 9):
+            assert shear_word(n, ()) == IntMatrix.identity(n)
+
+    def test_single_shear_is_elementary(self):
+        assert shear_word(3, [(2, 0, 5)]).rows == ((1, 0, 0), (0, 1, 0), (5, 0, 1))
+
+    def test_indices_outside_range_rejected(self):
+        for i, j in ((-1, 0), (0, -1), (3, 0), (0, 3), (-3, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                shear_word(3, [(0, 1, 1), (i, j, 5)])
+            with pytest.raises(ValueError, match="out of range"):
+                IntMatrix.elementary(3, i, j, 5)
+
+    def test_equal_indices_rejected(self):
+        with pytest.raises(ValueError, match="differ"):
+            shear_word(3, [(1, 1, 2)])
+        with pytest.raises(ValueError, match="differ"):
+            IntMatrix.elementary(3, 1, 1, 2)
+
+    def test_non_integral_entries_rejected(self):
+        with pytest.raises(TypeError):
+            shear_word(3, [(0, 1, 1.5)])
+        with pytest.raises(TypeError):
+            shear_word(3, [(0, 1.0, 1)])
+        with pytest.raises(ValueError):
+            shear_word(0, ())
+
+
+class TestCarriedInverses:
+    @given(st.integers(1, 8), st.integers(0, 30), st.integers(1, 5), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_random_unimodular_pair(self, n, word_length, bound, seed):
+        U, U_inv = _random_unimodular_pair(n, word_length, bound, seed)
+        assert U == random_unimodular(n, word_length, bound, seed)
+        assert U_inv == U.inverse()
+
+    @given(st.integers(2, 6), st.integers(0, 2**32), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_basis_completion_pair(self, n, seed, data):
+        U = random_unimodular(n, 8, 3, seed)
+        k = data.draw(st.integers(1, n))
+        cols = U.columns()[:k]
+        V, V_inv = _basis_completion_pair(cols)
+        assert V == basis_completion(cols)
+        assert V_inv == V.inverse()
 
 
 class TestBoundaryValidation:

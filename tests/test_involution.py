@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from glnz.exactmat import (
     IntMatrix,
+    Lattice,
     element_order,
-    hnf,
     random_unimodular,
     summand_index,
 )
@@ -54,15 +54,15 @@ def random_involution(rng, n, p=None):
 class TestEigenLattices:
     def test_diagonal(self):
         plus, minus = eigen_lattices(IntMatrix.diagonal((1, -1)))
-        assert plus == hnf([(1, 0)]) and minus == hnf([(0, 1)])
+        assert plus == Lattice(2, ((1, 0),)) and minus == Lattice(2, ((0, 1),))
 
     def test_swap(self):
         plus, minus = eigen_lattices(SWAP)
-        assert plus == hnf([(1, 1)]) and minus == hnf([(1, -1)])
+        assert plus == Lattice(2, ((1, 1),)) and minus == Lattice(2, ((1, -1),))
 
     def test_sheared(self):
         plus, minus = eigen_lattices(SHEARED)
-        assert plus == hnf([(-2, 1)]) and minus == hnf([(0, 1)])
+        assert plus == Lattice(2, ((-2, 1),)) and minus == Lattice(2, ((0, 1),))
 
     def test_rejects_non_involution(self):
         with pytest.raises(ValueError, match="not an involution"):
@@ -261,8 +261,8 @@ class TestInvolutionFromSplitting:
         Q = involution_from_splitting([(0, 1, 0), (0, 0, 1)], [(1, 2, 0)])
         assert is_involution(Q)
         plus, minus = eigen_lattices(Q)
-        assert plus == hnf([(0, 1, 0), (0, 0, 1)])
-        assert minus == hnf([(1, 2, 0)])
+        assert plus == Lattice(3, ((0, 1, 0), (0, 0, 1)))
+        assert minus == Lattice(3, ((1, 2, 0),))
 
     def test_rejects_non_basis(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,9 @@ import pytest
 
 from glnz.exactmat import (
     IntMatrix,
+    Lattice,
     basis_completion,
     content_and_primitive,
-    hnf,
     random_unimodular,
 )
 from glnz.involution import involution_from_splitting
@@ -136,7 +136,7 @@ class TestMutualSubgroup:
         result = mutual_subgroup(P, Q)
         assert result is not None
         assert result.side == "plus"
-        assert result.shared == hnf([(0, 1, 0), (0, 0, 1)])
+        assert result.shared == Lattice(3, ((0, 1, 0), (0, 0, 1)))
         assert result.product_m == 4
         data = recognize_transvection(Q * P)
         assert data is not None and data.m == 4
@@ -147,7 +147,7 @@ class TestMutualSubgroup:
         result = mutual_subgroup(P, Q)
         assert result is not None
         assert result.side == "minus"
-        assert result.shared == hnf([(1, 0, 0)])
+        assert result.shared == Lattice(3, ((1, 0, 0),))
         assert result.product_m % 2 == 0
 
     def test_disjoint_pair(self):

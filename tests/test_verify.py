@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glnz.verify import SUITE_IDS, run_suite
+from glnz.verify import SUITE_IDS, _random_gamma2, run_suite
 
 
 def report_key(report):
@@ -125,3 +128,10 @@ def test_failures_carry_inputs(monkeypatch):
     assert not report.passed
     assert report.failures[0]["inputs"]["M"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert report.failures[0]["trial"] == 0
+
+
+@given(st.integers(2, 8), st.integers(0, 2**32), st.integers(0, 20))
+@settings(max_examples=100, deadline=None)
+def test_random_gamma2_carries_its_inverse(n, seed, length):
+    sigma, sigma_inv = _random_gamma2(random.Random(seed), n, length)
+    assert sigma_inv == sigma.inverse()
