@@ -36,11 +36,9 @@ RUN_TIMEOUT_S = 1800
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'201-210' or '201,205,209'."""
-    if "-" in text:
-        lo, hi = map(int, text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",")]
+    """'201-210' -> [201, ..., 210]."""
+    lo, hi = map(int, text.split("-"))
+    return list(range(lo, hi + 1))
 
 
 def loadavg() -> str | None:
@@ -95,8 +93,7 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--bench", type=int, required=True, help="number in BENCH_<n>.json")
-    parser.add_argument("--seeds", required=True, help="e.g. 201-210; one pair per seed")
-    parser.add_argument("--workloads", help="comma-separated; default: all of BENCHMARK.json")
+    parser.add_argument("--seeds", required=True, help="lo-hi, e.g. 201-210; one pair per seed")
     parser.add_argument("--change-note", required=True, help="one line: what the change does")
     parser.add_argument("--claim", help="workload:metric the change claims to improve")
     parser.add_argument("--out", type=Path, help="default: BENCH_<n>.json in the change checkout")
@@ -108,8 +105,6 @@ def main() -> int:
     seconds = spec["run_seconds"]
     metric_specs = {m["name"]: m for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        workloads = args.workloads.split(",")
     seeds = parse_seeds(args.seeds)
     if len(seeds) < 2:
         sys.exit("need at least two seeds for quartiles")

@@ -34,7 +34,6 @@ from .exactmat import (
     rational_rank,
     restriction_matrix,
     row_hermite,
-    shear_word,
     summand_index,
 )
 from .involution import (

@@ -71,6 +71,8 @@ def _read_document(path: str | None) -> IntMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON input: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON input: nested too deeply") from exc
     return parse_matrix_document(doc)
 
 

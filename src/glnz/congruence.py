@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exactmat import IntMatrix, rank_mod2, shear_word
+from .exactmat import IntMatrix, _shear_word, rank_mod2
 
 __all__ = [
     "CommutatorReport",
@@ -55,7 +55,7 @@ class Factorization:
         return len(self.factors)
 
     def product(self) -> IntMatrix:
-        return shear_word(self.n, ((f.i, f.j, f.c) for f in self.factors))
+        return _shear_word(self.n, ((f.i, f.j, f.c) for f in self.factors))
 
 
 def in_gamma(M: IntMatrix, m: int) -> bool:
@@ -365,7 +365,7 @@ def lift_mod2(rows) -> IntMatrix:
     # row additions are involutions mod 2, so the input equals the ops
     # composed in original order; lifting each with coefficient 1 keeps
     # the mod-2 value and determinant 1
-    M = shear_word(n, ((i, j, 1) for i, j in ops))
+    M = _shear_word(n, ((i, j, 1) for i, j in ops))
     if M.det() != 1 or M.mod(2).rows != target:
         raise RuntimeError("mod-2 lift postcondition violated")
     return M

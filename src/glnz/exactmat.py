@@ -30,7 +30,6 @@ __all__ = [
     "rational_rank",
     "restriction_matrix",
     "row_hermite",
-    "shear_word",
     "summand_index",
 ]
 
@@ -149,7 +148,7 @@ class IntMatrix:
     @staticmethod
     def elementary(n: int, i: int, j: int, c: int) -> "IntMatrix":
         """The shear I + c*E_ij (adds c times coordinate j to coordinate i)."""
-        return shear_word(n, ((i, j, c),))
+        return _shear_word(n, ((i, j, c),))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -418,25 +417,27 @@ def random_unimodular(n: int, word_length: int, entry_bound: int, seed: int) -> 
     The result always has determinant +-1; identical arguments give the
     identical matrix.
     """
-    return _random_unimodular_pair(n, word_length, entry_bound, seed)[0]
+    return _random_unimodular_pair(n, word_length, entry_bound, seed, with_inverse=False)[0]
 
 
 def _random_unimodular_pair(
-    n: int, word_length: int, entry_bound: int, seed: int
-) -> tuple[IntMatrix, IntMatrix]:
-    """``random_unimodular(...)`` and its inverse, built side by side: each
-    right factor F of U enters U^-1 as F^-1 on the left, a row operation."""
+    n: int, word_length: int, entry_bound: int, seed: int, with_inverse: bool = True
+) -> tuple[IntMatrix, IntMatrix | None]:
+    """``random_unimodular(...)`` and, unless with_inverse is false, its
+    inverse, built side by side: each right factor F of U enters U^-1 as
+    F^-1 on the left, a row operation."""
     if n < 1 or entry_bound < 1 or word_length < 0:
         raise ValueError("parameters out of range")
     rng = random.Random(seed)
     cols = _identity_columns(n)  # columns of U
-    inv = _identity_columns(n)  # rows of U^-1
+    inv = _identity_columns(n) if with_inverse else None  # rows of U^-1
     for _ in range(word_length):
         if n >= 2 and rng.random() < 0.75:
             i, j = rng.sample(range(n), 2)
             c = rng.randint(1, entry_bound) * rng.choice((1, -1))
             _shear_columns(cols, i, j, c)
-            inv[i] = [x - c * y for x, y in zip(inv[i], inv[j])]
+            if inv is not None:
+                inv[i] = [x - c * y for x, y in zip(inv[i], inv[j])]
         else:
             # right factor with entry s_j at (perm[j], j): column j of U
             # becomes s_j times column perm[j], and row j of U^-1 becomes
@@ -444,12 +445,10 @@ def _random_unimodular_pair(
             perm = rng.sample(range(n), n)
             signs = [rng.choice((1, -1)) for _ in range(n)]
             cols = [cols[p] if s == 1 else [-x for x in cols[p]] for p, s in zip(perm, signs)]
-            inv = [inv[p] if s == 1 else [-x for x in inv[p]] for p, s in zip(perm, signs)]
+            if inv is not None:
+                inv = [inv[p] if s == 1 else [-x for x in inv[p]] for p, s in zip(perm, signs)]
     U = _trusted(tuple(zip(*cols)))
-    U_inv = _trusted(tuple(map(tuple, inv)))
-    if not (U * U_inv).is_identity():
-        raise RuntimeError("carried inverse of the random unimodular matrix is wrong")
-    return U, U_inv
+    return U, None if inv is None else _trusted(tuple(map(tuple, inv)))
 
 
 def random_elementary_word(n: int, word_length: int, entry_bound: int, seed: int) -> IntMatrix:
@@ -461,10 +460,10 @@ def random_elementary_word(n: int, word_length: int, entry_bound: int, seed: int
     for _ in range(word_length):
         i, j = rng.sample(range(n), 2)
         shears.append((i, j, rng.randint(1, entry_bound) * rng.choice((1, -1))))
-    return shear_word(n, shears)
+    return _shear_word(n, shears)
 
 
-def shear_word(n: int, shears: Iterable[tuple[int, int, int]]) -> IntMatrix:
+def _shear_word(n: int, shears: Iterable[tuple[int, int, int]]) -> IntMatrix:
     """The product (I + c_1 E_{i_1 j_1}) ... (I + c_k E_{i_k j_k}) of the
     shears (i, j, c), left to right; the empty word gives I.
 

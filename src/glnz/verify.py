@@ -25,11 +25,12 @@ from .exactmat import (
     Vector,
     _basis_completion_pair,
     _random_unimodular_pair,
+    _shear_word,
     content_and_primitive,
     element_order,
     rank_mod2,
+    random_unimodular,
     rational_rank,
-    shear_word,
 )
 from .involution import (
     EXTREMAL,
@@ -100,7 +101,10 @@ def _rand_u(
     rng: random.Random, n: int, word_length: int = 8, entry_bound: int = 2
 ) -> tuple[IntMatrix, IntMatrix]:
     """A seeded random unimodular U and its inverse."""
-    return _random_unimodular_pair(n, word_length, entry_bound, rng.randrange(1 << 30))
+    U, U_inv = _random_unimodular_pair(n, word_length, entry_bound, rng.randrange(1 << 30))
+    if not (U * U_inv).is_identity():
+        raise RuntimeError("carried inverse of the random unimodular matrix is wrong")
+    return U, U_inv
 
 
 def _conj(M: IntMatrix, U: IntMatrix, U_inv: IntMatrix) -> IntMatrix:
@@ -347,7 +351,7 @@ def _suite_shared_summand(n: int, trials: int, rng: random.Random) -> list[dict]
     for t in range(trials):
         inputs: dict = {}
         try:
-            U, _ = _rand_u(rng, n)
+            U = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
             cols = [list(c) for c in U.columns()]
             coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
             if not any(coeffs):
@@ -413,7 +417,7 @@ def _suite_summand_encoding(n: int, trials: int, rng: random.Random) -> list[dic
     for t in range(trials):
         inputs: dict = {}
         try:
-            U, _ = _rand_u(rng, n)
+            U = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
             cols = [list(c) for c in U.columns()]
 
             def line(base: int, coeffs):
@@ -564,7 +568,7 @@ def _random_gamma2(rng: random.Random, n: int, length: int = 10) -> tuple[IntMat
     for _ in range(length):
         i, j = rng.sample(range(n), 2)
         word.append((i, j, 2 * rng.randint(1, 2) * rng.choice((1, -1))))
-    return shear_word(n, word), shear_word(n, [(i, j, -c) for i, j, c in reversed(word)])
+    return _shear_word(n, word), _shear_word(n, [(i, j, -c) for i, j, c in reversed(word)])
 
 
 def _line_mover(target: Vector, i: int, n: int) -> IntMatrix:
@@ -617,7 +621,7 @@ def _suite_congruence_summands(n: int, trials: int, rng: random.Random) -> list[
                 hyper = Lattice(n, tuple(units[j] for j in range(n) if j != i))
                 if sigma * hyper != rho * hyper:
                     raise _TrialFailure("hyperplane images differ")
-            outside, _ = _rand_u(rng, n)
+            outside = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
             if in_gamma(outside, 2):
                 outside = outside * IntMatrix.elementary(n, 0, 1, 1)
             inputs["outside"] = outside

@@ -83,6 +83,12 @@ class TestClassifyCommand:
         assert code == 2
         assert "parse error" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, ["classify"], "[" * 100000, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: invalid JSON input: nested too deeply\n"
+
     def test_matches_library(self, capsys, monkeypatch):
         M = IntMatrix(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
         code, out, _ = run_cli(

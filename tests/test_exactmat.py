@@ -10,6 +10,7 @@ from glnz.exactmat import (
     Lattice,
     _basis_completion_pair,
     _random_unimodular_pair,
+    _shear_word,
     basis_completion,
     content_and_primitive,
     element_order,
@@ -19,7 +20,6 @@ from glnz.exactmat import (
     rank_mod2,
     rational_rank,
     restriction_matrix,
-    shear_word,
     summand_index,
 )
 
@@ -406,36 +406,36 @@ class TestShearWord:
         for i, j, c in shears:
             factor = IntMatrix.elementary(n, i, j, c)
             expected = IntMatrix(_reference_product(expected.rows, factor.rows))
-        assert shear_word(n, shears) == expected
-        assert shear_word(n, iter(shears)) == expected
+        assert _shear_word(n, shears) == expected
+        assert _shear_word(n, iter(shears)) == expected
 
     def test_empty_word_is_identity(self):
         for n in range(1, 9):
-            assert shear_word(n, ()) == IntMatrix.identity(n)
+            assert _shear_word(n, ()) == IntMatrix.identity(n)
 
     def test_single_shear_is_elementary(self):
-        assert shear_word(3, [(2, 0, 5)]).rows == ((1, 0, 0), (0, 1, 0), (5, 0, 1))
+        assert _shear_word(3, [(2, 0, 5)]).rows == ((1, 0, 0), (0, 1, 0), (5, 0, 1))
 
     def test_indices_outside_range_rejected(self):
         for i, j in ((-1, 0), (0, -1), (3, 0), (0, 3), (-3, 1)):
             with pytest.raises(ValueError, match="out of range"):
-                shear_word(3, [(0, 1, 1), (i, j, 5)])
+                _shear_word(3, [(0, 1, 1), (i, j, 5)])
             with pytest.raises(ValueError, match="out of range"):
                 IntMatrix.elementary(3, i, j, 5)
 
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError, match="differ"):
-            shear_word(3, [(1, 1, 2)])
+            _shear_word(3, [(1, 1, 2)])
         with pytest.raises(ValueError, match="differ"):
             IntMatrix.elementary(3, 1, 1, 2)
 
     def test_non_integral_entries_rejected(self):
         with pytest.raises(TypeError):
-            shear_word(3, [(0, 1, 1.5)])
+            _shear_word(3, [(0, 1, 1.5)])
         with pytest.raises(TypeError):
-            shear_word(3, [(0, 1.0, 1)])
+            _shear_word(3, [(0, 1.0, 1)])
         with pytest.raises(ValueError):
-            shear_word(0, ())
+            _shear_word(0, ())
 
 
 class TestCarriedInverses:
