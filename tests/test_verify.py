@@ -130,6 +130,45 @@ def test_failures_carry_inputs(monkeypatch):
     assert report.failures[0]["trial"] == 0
 
 
+def test_commuting_family_pass_is_trial_minus_one(monkeypatch):
+    # the exhaustive sign-matrix pass runs once, before the trials, and a
+    # failure there is recorded as trial -1 without stopping the trials
+    import glnz.verify as verify_module
+
+    n, trials = 4, 3
+    short = verify_module.standard_commuting_family(n)[:-1]
+    monkeypatch.setattr(verify_module, "standard_commuting_family", lambda n: short)
+    sampled = []
+    real_sample = verify_module._sample_involution
+
+    def counting_sample(*args):
+        sampled.append(args[1:])
+        return real_sample(*args)
+
+    monkeypatch.setattr(verify_module, "_sample_involution", counting_sample)
+    report = run_suite("P1_9", n, trials, seed=5)
+    assert not report.passed
+    assert report.failures[0]["trial"] == -1
+    assert report.failures[0]["reason"] == "family has the wrong size"
+    assert report.failures[0]["inputs"] == {}
+    assert [f["trial"] for f in report.failures].count(-1) == 1
+    assert len(sampled) == trials
+
+
+def test_rank3_identities_run_once_as_trial_zero(monkeypatch):
+    import glnz.verify as verify_module
+
+    def failing():
+        raise RuntimeError("commutator identity does not hold")
+
+    monkeypatch.setattr(verify_module, "commutator_identities", failing)
+    report = run_suite("C2_1_claim1", 3, 5, seed=0)
+    assert len(report.failures) == 1
+    assert report.failures[0]["trial"] == 0
+    assert report.failures[0]["reason"] == "commutator identity does not hold"
+    assert report.failures[0]["inputs"] == {}
+
+
 @given(st.integers(2, 8), st.integers(0, 2**32), st.integers(0, 20))
 @settings(max_examples=100, deadline=None)
 def test_random_gamma2_carries_its_inverse(n, seed, length):
