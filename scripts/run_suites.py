@@ -46,7 +46,10 @@ def main() -> int:
         print(f"{cfg.suite:14s} {cfg.n:3d} {trials:7d} {status:7s} {report.elapsed_ms:7d}")
         if not report.passed:
             worst = report.failures[0]
-            print(f"  first failure (trial {worst['trial']}): {worst['reason']}")
+            print(
+                f"  first failure (trial {worst['trial']}, {worst['category']}): "
+                f"{worst['reason']}"
+            )
     return 1 if failed else 0
 
 

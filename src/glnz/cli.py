@@ -4,8 +4,10 @@ Matrices travel as documents {"n": k, "rows": [[...], ...]}; entries that
 do not fit in 64 bits are serialized as decimal strings so nothing is ever
 rounded.  All results go to stdout as a single JSON value, diagnostics to
 stderr.  Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 verification suite found a counterexample, 5 internal error (a
-postcondition of the library failed).
+4 verification suite found counterexamples and nothing else, 5 internal
+error (a postcondition of the library failed, or a suite trial failed a
+postcondition or crashed; verify still prints its report, whose failure
+records carry a category: counterexample, postcondition or crash).
 """
 
 from __future__ import annotations
@@ -244,6 +246,8 @@ def cmd_identities(args) -> int:
 def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, args.n, args.trials, args.seed)
     _emit(report.to_jsonable())
+    if any(f["category"] != "counterexample" for f in report.failures):
+        return 5
     return 0 if report.passed else 4
 
 

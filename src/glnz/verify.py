@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .congruence import in_gamma, lift_mod2, lift_row_to_sl3
 from .congruence import braid_involution_solutions, commutator_identities, unipotent_sqrt_sl2
@@ -80,21 +80,32 @@ class SuiteReport:
 
 
 class _TrialFailure(Exception):
-    pass
+    """The claim under test failed on the trial's inputs: a counterexample."""
 
 
-def _payload(M) -> list:
-    if isinstance(M, IntMatrix):
-        return [list(r) for r in M.rows]
-    return list(M)
-
-
-def _failure(trial: int, reason: str, inputs: dict) -> dict:
-    return {
-        "trial": trial,
-        "reason": reason,
-        "inputs": {k: _payload(v) for k, v in inputs.items()},
-    }
+def _run_trials(indices: Iterable[int], check: Callable[[int, dict], None]) -> list[dict]:
+    """Run check(t, inputs) for every trial index t.  The check records the
+    matrices it samples in inputs and raises to fail; the failure record
+    keeps those inputs and a category.  Later trials still run."""
+    failures = []
+    for t in indices:
+        inputs: dict = {}
+        try:
+            check(t, inputs)
+            continue
+        except _TrialFailure as exc:
+            category, reason = "counterexample", str(exc)
+        except RuntimeError as exc:  # a library self-check failed
+            category, reason = "postcondition", str(exc)
+        except Exception as exc:
+            category, reason = "crash", str(exc)
+        failures.append({
+            "trial": t,
+            "reason": reason,
+            "category": category,
+            "inputs": {k: [list(r) for r in M.rows] for k, M in inputs.items()},
+        })
+    return failures
 
 
 def _rand_u(
@@ -123,7 +134,8 @@ def _sample_involution(rng: random.Random, n: int, a: int, b: int, p: int) -> In
 
 
 def _embed2(block: IntMatrix, n: int) -> IntMatrix:
-    """block (+) identity on the remaining n - 2 coordinates."""
+    """The top-left 2x2 block of block, (+) identity on the remaining
+    n - 2 coordinates."""
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(2):
         for j in range(2):
@@ -144,32 +156,28 @@ def _suite_order3(n: int, trials: int, rng: random.Random) -> list[dict]:
     """Order-three products: constructive witness for non-diagonalizable
     involutions; never order three for products of two conjugates of a
     sign-diagonalizable involution (each trial samples five such pairs)."""
-    failures = []
-    for t in range(trials):
-        inputs: dict = {}
-        try:
-            p = rng.randint(1, n // 2)
-            rem = n - 2 * p
-            a = rng.randint(0, rem)
-            P = _sample_involution(rng, n, a, rem - a, p)
-            inputs["P"] = P
-            witness = order3_witness(P)
-            inputs["witness"] = witness
-            if element_order(P * witness, 3) != 3:
-                raise _TrialFailure("witness product does not have order three")
-            for _ in range(5):
-                signs = [rng.choice((1, -1)) for _ in range(n)]
-                D = IntMatrix.diagonal(signs)
-                phi1 = _conj(D, *_rand_u(rng, n))
-                phi2 = _conj(D, *_rand_u(rng, n))
-                if element_order(phi1 * phi2, 3) == 3:
-                    inputs["phi1"], inputs["phi2"] = phi1, phi2
-                    raise _TrialFailure(
-                        "product of diagonalizable conjugates has order three"
-                    )
-        except Exception as exc:
-            failures.append(_failure(t, str(exc), inputs))
-    return failures
+
+    def check(t: int, inputs: dict) -> None:
+        p = rng.randint(1, n // 2)
+        rem = n - 2 * p
+        a = rng.randint(0, rem)
+        P = _sample_involution(rng, n, a, rem - a, p)
+        inputs["P"] = P
+        witness = order3_witness(P)
+        inputs["witness"] = witness
+        if element_order(P * witness, 3) != 3:
+            raise _TrialFailure("witness product does not have order three")
+        for _ in range(5):
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            D = IntMatrix.diagonal(signs)
+            phi1 = _conj(D, *_rand_u(rng, n))
+            phi2 = _conj(D, *_rand_u(rng, n))
+            if element_order(phi1 * phi2, 3) == 3:
+                inputs["phi1"], inputs["phi2"] = phi1, phi2
+                raise _TrialFailure(
+                    "product of diagonalizable conjugates has order three"
+                )
+    return _run_trials(range(trials), check)
 
 
 def _suite_two_involution_products(n: int, trials: int, rng: random.Random) -> list[dict]:
@@ -177,51 +185,47 @@ def _suite_two_involution_products(n: int, trials: int, rng: random.Random) -> l
     product is an involution it negates exactly two basis directions.
     Constructive half: an involution fixing a minimal-rank summand and
     negating an even-rank one is a square (rotation blocks)."""
-    failures = []
-    for t in range(trials):
-        inputs: dict = {}
-        try:
-            extremal_seed = canonical_block(n - 1, 1, 0)
-            if t % 2 == 0:
-                U, U_inv = _rand_u(rng, n)
-                i, j = rng.sample(range(n), 2)
-                d1, d2 = [1] * n, [1] * n
-                d1[i] = -1
-                d2[j] = -1
-                phi1 = _conj(IntMatrix.diagonal(d1), U, U_inv)
-                phi2 = _conj(IntMatrix.diagonal(d2), U, U_inv)
-            else:
-                phi1 = _conj(extremal_seed, *_rand_u(rng, n))
-                phi2 = _conj(extremal_seed, *_rand_u(rng, n))
-            inputs["phi1"], inputs["phi2"] = phi1, phi2
-            for phi in (phi1, phi2):
-                if classify(phi).name != EXTREMAL:
-                    raise _TrialFailure("sample left the extremal class")
-            prod = phi1 * phi2
-            if not prod.is_identity() and is_involution(prod):
-                if classify(prod) != InvolutionKind(GAMMA_INVOLUTION, 2):
-                    inputs["product"] = prod
-                    raise _TrialFailure(
-                        "involution in the product set is not a 2-involution"
-                    )
-            # square-root branch: even negated rank, smallest fixed rank
-            a = 1 if (n - 1) % 2 == 0 else 2
-            b = n - a
-            rho0 = IntMatrix.diagonal([1] * a + [-1] * b)
-            rows = [[int(i == j) for j in range(n)] for i in range(n)]
-            for blk in range(b // 2):
-                lo = a + 2 * blk
-                rows[lo][lo], rows[lo][lo + 1] = 0, -1
-                rows[lo + 1][lo], rows[lo + 1][lo + 1] = 1, 0
-            sigma0 = IntMatrix(tuple(tuple(r) for r in rows))
-            W, W_inv = _rand_u(rng, n)
-            rho, sigma = _conj(rho0, W, W_inv), _conj(sigma0, W, W_inv)
-            inputs["rho"], inputs["sigma"] = rho, sigma
-            if sigma * sigma != rho:
-                raise _TrialFailure("rotation construction is not a square root")
-        except Exception as exc:
-            failures.append(_failure(t, str(exc), inputs))
-    return failures
+    extremal_seed = canonical_block(n - 1, 1, 0)
+
+    def check(t: int, inputs: dict) -> None:
+        if t % 2 == 0:
+            U, U_inv = _rand_u(rng, n)
+            i, j = rng.sample(range(n), 2)
+            d1, d2 = [1] * n, [1] * n
+            d1[i] = -1
+            d2[j] = -1
+            phi1 = _conj(IntMatrix.diagonal(d1), U, U_inv)
+            phi2 = _conj(IntMatrix.diagonal(d2), U, U_inv)
+        else:
+            phi1 = _conj(extremal_seed, *_rand_u(rng, n))
+            phi2 = _conj(extremal_seed, *_rand_u(rng, n))
+        inputs["phi1"], inputs["phi2"] = phi1, phi2
+        for phi in (phi1, phi2):
+            if classify(phi).name != EXTREMAL:
+                raise _TrialFailure("sample left the extremal class")
+        prod = phi1 * phi2
+        if not prod.is_identity() and is_involution(prod):
+            if classify(prod) != InvolutionKind(GAMMA_INVOLUTION, 2):
+                inputs["product"] = prod
+                raise _TrialFailure(
+                    "involution in the product set is not a 2-involution"
+                )
+        # square-root branch: even negated rank, smallest fixed rank
+        a = 1 if (n - 1) % 2 == 0 else 2
+        b = n - a
+        rho0 = IntMatrix.diagonal([1] * a + [-1] * b)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for blk in range(b // 2):
+            lo = a + 2 * blk
+            rows[lo][lo], rows[lo][lo + 1] = 0, -1
+            rows[lo + 1][lo], rows[lo + 1][lo + 1] = 1, 0
+        sigma0 = IntMatrix(tuple(tuple(r) for r in rows))
+        W, W_inv = _rand_u(rng, n)
+        rho, sigma = _conj(rho0, W, W_inv), _conj(sigma0, W, W_inv)
+        inputs["rho"], inputs["sigma"] = rho, sigma
+        if sigma * sigma != rho:
+            raise _TrialFailure("rotation construction is not a square root")
+    return _run_trials(range(trials), check)
 
 
 def _suite_four_involutions(n: int, trials: int, rng: random.Random) -> list[dict]:
@@ -230,48 +234,44 @@ def _suite_four_involutions(n: int, trials: int, rng: random.Random) -> list[dic
     the product has rational rank at most 2); for every other
     non-diagonalizable involution the constructive witness does produce a
     4-involution."""
-    failures = []
     identity = IntMatrix.identity(n)
-    for t in range(trials):
-        inputs: dict = {}
-        try:
-            if t % 2 == 0:
-                pi_seed = canonical_block(n - 2, 0, 1)  # negated rank 1
+
+    def check(t: int, inputs: dict) -> None:
+        if t % 2 == 0:
+            pi_seed = canonical_block(n - 2, 0, 1)  # negated rank 1
+        else:
+            pi_seed = canonical_block(0, n - 2, 1)  # fixed rank 1
+        pi1 = _conj(pi_seed, *_rand_u(rng, n, word_length=6))
+        pi2 = _conj(pi_seed, *_rand_u(rng, n, word_length=6))
+        inputs["pi1"], inputs["pi2"] = pi1, pi2
+        for pi in (pi1, pi2):
+            if classify(pi).name != ONE_PERMUTATION:
+                raise _TrialFailure("sample left the single-swap class")
+        prod = pi1 * pi2
+        if rational_rank(identity - prod) > 2:
+            raise _TrialFailure("defect of the product exceeds rank two")
+        if not prod.is_identity() and is_involution(prod):
+            if classify(prod) == InvolutionKind(GAMMA_INVOLUTION, 4):
+                inputs["product"] = prod
+                raise _TrialFailure("product of single-swap conjugates is a 4-involution")
+        # constructive witness for an eligible involution
+        p = rng.randint(1, 3)
+        rem = n - 2 * p
+        a = rng.randint(1, rem - 1) if p == 1 else rng.randint(0, rem)
+        P = _sample_involution(rng, n, a, rem - a, p)
+        inputs["P"] = P
+        witness = four_involution_witness(P)
+        if classify(P * witness) != InvolutionKind(GAMMA_INVOLUTION, 4):
+            inputs["witness"] = witness
+            raise _TrialFailure("witness product is not a 4-involution")
+        if t % 10 == 0:
+            try:
+                four_involution_witness(pi1)
+            except ValueError:
+                pass
             else:
-                pi_seed = canonical_block(0, n - 2, 1)  # fixed rank 1
-            pi1 = _conj(pi_seed, *_rand_u(rng, n, word_length=6))
-            pi2 = _conj(pi_seed, *_rand_u(rng, n, word_length=6))
-            inputs["pi1"], inputs["pi2"] = pi1, pi2
-            for pi in (pi1, pi2):
-                if classify(pi).name != ONE_PERMUTATION:
-                    raise _TrialFailure("sample left the single-swap class")
-            prod = pi1 * pi2
-            if rational_rank(identity - prod) > 2:
-                raise _TrialFailure("defect of the product exceeds rank two")
-            if not prod.is_identity() and is_involution(prod):
-                if classify(prod) == InvolutionKind(GAMMA_INVOLUTION, 4):
-                    inputs["product"] = prod
-                    raise _TrialFailure("product of single-swap conjugates is a 4-involution")
-            # constructive witness for an eligible involution
-            p = rng.randint(1, 3)
-            rem = n - 2 * p
-            a = rng.randint(1, rem - 1) if p == 1 else rng.randint(0, rem)
-            P = _sample_involution(rng, n, a, rem - a, p)
-            inputs["P"] = P
-            witness = four_involution_witness(P)
-            if classify(P * witness) != InvolutionKind(GAMMA_INVOLUTION, 4):
-                inputs["witness"] = witness
-                raise _TrialFailure("witness product is not a 4-involution")
-            if t % 10 == 0:
-                try:
-                    four_involution_witness(pi1)
-                except ValueError:
-                    pass
-                else:
-                    raise _TrialFailure("witness accepted a single-swap involution")
-        except Exception as exc:
-            failures.append(_failure(t, str(exc), inputs))
-    return failures
+                raise _TrialFailure("witness accepted a single-swap involution")
+    return _run_trials(range(trials), check)
 
 
 def _random_2x2_involution(rng: random.Random) -> IntMatrix:
@@ -294,212 +294,193 @@ def _suite_commutant_shape(n: int, trials: int, rng: random.Random) -> list[dict
     extremal involution with involutions preserving the negated plane:
     exactly the elements whose 2x2 block is [[e, b], [0, e]], whose squares
     [[1, 2b], [0, 1]] realize every even transvection invariant."""
-    failures = []
     phi = _embed2(IntMatrix.diagonal((1, -1)), n)
     theta = _embed2(IntMatrix.diagonal((-1, -1)), n)
     tau = _embed2(IntMatrix(((1, 2), (0, 1))), n)
-    for t in range(trials):
-        inputs: dict = {}
-        try:
-            if t % 2 == 0:
-                e = rng.choice((1, -1))
-                b = rng.randint(-6, 6)
-                block = IntMatrix(((e, b), (0, -e)))
-            else:
-                block = _random_2x2_involution(rng)
-            rho = _embed2(block, n)
-            inputs["rho"] = rho
-            if rho * theta != theta * rho or not involutions_conjugate(rho, theta * rho):
-                raise _TrialFailure("sample does not properly commute with the base")
-            if classify(rho).name not in (EXTREMAL, ONE_PERMUTATION):
-                raise _TrialFailure("sample is neither extremal nor a single swap")
-            s = phi * rho
-            inputs["s"] = s
-            commutes = s * tau == tau * s
-            upper = (
-                s.rows[1][0] == 0
-                and s.rows[0][0] == s.rows[1][1]
-                and abs(s.rows[0][0]) == 1
-            )
-            if commutes != upper:
-                raise _TrialFailure("commutant shape criterion failed")
-            if commutes:
-                e, bb = s.rows[0][0], s.rows[0][1]
-                square = s * s
-                if square != _embed2(IntMatrix(((1, 2 * e * bb), (0, 1))), n):
-                    raise _TrialFailure("square of a commutant element has the wrong form")
-                if bb:
-                    data = recognize_transvection(square)
-                    if data is None or data.m != 2 * abs(bb):
-                        raise _TrialFailure("square is not an even transvection")
-        except Exception as exc:
-            failures.append(_failure(t, str(exc), inputs))
-    return failures
 
-
-def _splitting_from_columns(cols, minus_index: int) -> IntMatrix:
-    minus = [cols[minus_index]]
-    plus = [c for i, c in enumerate(cols) if i != minus_index]
-    return involution_from_splitting(plus, minus)
+    def check(t: int, inputs: dict) -> None:
+        if t % 2 == 0:
+            e = rng.choice((1, -1))
+            b = rng.randint(-6, 6)
+            block = IntMatrix(((e, b), (0, -e)))
+        else:
+            block = _random_2x2_involution(rng)
+        rho = _embed2(block, n)
+        inputs["rho"] = rho
+        if rho * theta != theta * rho or not involutions_conjugate(rho, theta * rho):
+            raise _TrialFailure("sample does not properly commute with the base")
+        if classify(rho).name not in (EXTREMAL, ONE_PERMUTATION):
+            raise _TrialFailure("sample is neither extremal nor a single swap")
+        s = phi * rho
+        inputs["s"] = s
+        commutes = s * tau == tau * s
+        upper = (
+            s.rows[1][0] == 0
+            and s.rows[0][0] == s.rows[1][1]
+            and abs(s.rows[0][0]) == 1
+        )
+        if commutes != upper:
+            raise _TrialFailure("commutant shape criterion failed")
+        if commutes:
+            e, bb = s.rows[0][0], s.rows[0][1]
+            square = s * s
+            if square != _embed2(IntMatrix(((1, 2 * e * bb), (0, 1))), n):
+                raise _TrialFailure("square of a commutant element has the wrong form")
+            if bb:
+                data = recognize_transvection(square)
+                if data is None or data.m != 2 * abs(bb):
+                    raise _TrialFailure("square is not an even transvection")
+    return _run_trials(range(trials), check)
 
 
 def _suite_shared_summand(n: int, trials: int, rng: random.Random) -> list[dict]:
     """Two distinct extremal involutions share an eigen-summand exactly
     when their product is a transvection of even invariant; the invariant
     is twice the content of the connecting coefficient vector."""
-    failures = []
-    for t in range(trials):
-        inputs: dict = {}
-        try:
-            U = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
-            cols = [list(c) for c in U.columns()]
-            coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
-            if not any(coeffs):
-                coeffs[rng.randrange(n - 1)] = rng.choice((1, 2, 3))
-            kind = t % 3
-            if kind == 0:
-                # shared fixed hyperplane, distinct negated lines
-                plus = cols[1:]
-                v1 = cols[0]
-                v2 = [cols[0][i] + sum(c * h[i] for c, h in zip(coeffs, plus)) for i in range(n)]
-                P = involution_from_splitting(plus, [v1])
-                Q = involution_from_splitting(plus, [v2])
-                expected_side, expected_shared = "plus", Lattice(n, tuple(plus))
-            elif kind == 1:
-                # shared negated line, distinct fixed hyperplanes
-                v = cols[0]
-                h1 = cols[1:]
-                h2 = [
-                    [h[i] + c * v[i] for i in range(n)]
-                    for c, h in zip(coeffs, h1)
-                ]
-                P = involution_from_splitting(h1, [v])
-                Q = involution_from_splitting(h2, [v])
-                expected_side, expected_shared = "minus", Lattice(n, (tuple(v),))
-            else:
-                # neither side shared
-                P = _splitting_from_columns(cols, 0)
-                v2 = [cols[0][i] + cols[1][i] for i in range(n)]
-                plus2 = [[cols[1][i] + 2 * cols[0][i] for i in range(n)]] + cols[2:]
-                Q = involution_from_splitting(plus2, [v2])
-                expected_side, expected_shared = None, None
-            inputs["P"], inputs["Q"] = P, Q
-            for M in (P, Q):
-                if classify(M).name != EXTREMAL:
-                    raise _TrialFailure("construction is not extremal")
-            result = mutual_subgroup(P, Q)
-            product_data = recognize_transvection(Q * P)
-            if expected_side is None:
-                if result is not None:
-                    raise _TrialFailure("summand reported for a disjoint pair")
-                if product_data is not None and product_data.m % 2 == 0:
-                    raise _TrialFailure("disjoint pair with an even-transvection product")
-            else:
-                if result is None:
-                    raise _TrialFailure("shared summand missed")
-                if result.side != expected_side or result.shared != expected_shared:
-                    raise _TrialFailure("wrong shared summand")
-                if product_data is None or product_data.m != result.product_m:
-                    raise _TrialFailure("product invariant mismatch")
-                expected_m = 2 * content_and_primitive(coeffs)[0]
-                if result.product_m != expected_m:
-                    raise _TrialFailure("product invariant differs from construction")
-        except Exception as exc:
-            failures.append(_failure(t, str(exc), inputs))
-    return failures
+
+    def check(t: int, inputs: dict) -> None:
+        U = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
+        cols = [list(c) for c in U.columns()]
+        coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
+        if not any(coeffs):
+            coeffs[rng.randrange(n - 1)] = rng.choice((1, 2, 3))
+        kind = t % 3
+        if kind == 0:
+            # shared fixed hyperplane, distinct negated lines
+            plus = cols[1:]
+            v1 = cols[0]
+            v2 = [cols[0][i] + sum(c * h[i] for c, h in zip(coeffs, plus)) for i in range(n)]
+            P = involution_from_splitting(plus, [v1])
+            Q = involution_from_splitting(plus, [v2])
+            expected_side, expected_shared = "plus", Lattice(n, tuple(plus))
+        elif kind == 1:
+            # shared negated line, distinct fixed hyperplanes
+            v = cols[0]
+            h1 = cols[1:]
+            h2 = [
+                [h[i] + c * v[i] for i in range(n)]
+                for c, h in zip(coeffs, h1)
+            ]
+            P = involution_from_splitting(h1, [v])
+            Q = involution_from_splitting(h2, [v])
+            expected_side, expected_shared = "minus", Lattice(n, (tuple(v),))
+        else:
+            # neither side shared
+            P = involution_from_splitting(cols[1:], [cols[0]])
+            v2 = [cols[0][i] + cols[1][i] for i in range(n)]
+            plus2 = [[cols[1][i] + 2 * cols[0][i] for i in range(n)]] + cols[2:]
+            Q = involution_from_splitting(plus2, [v2])
+            expected_side, expected_shared = None, None
+        inputs["P"], inputs["Q"] = P, Q
+        for M in (P, Q):
+            if classify(M).name != EXTREMAL:
+                raise _TrialFailure("construction is not extremal")
+        result = mutual_subgroup(P, Q)
+        product_data = recognize_transvection(Q * P)
+        if expected_side is None:
+            if result is not None:
+                raise _TrialFailure("summand reported for a disjoint pair")
+            if product_data is not None and product_data.m % 2 == 0:
+                raise _TrialFailure("disjoint pair with an even-transvection product")
+        else:
+            if result is None:
+                raise _TrialFailure("shared summand missed")
+            if result.side != expected_side or result.shared != expected_shared:
+                raise _TrialFailure("wrong shared summand")
+            if product_data is None or product_data.m != result.product_m:
+                raise _TrialFailure("product invariant mismatch")
+            expected_m = 2 * content_and_primitive(coeffs)[0]
+            if result.product_m != expected_m:
+                raise _TrialFailure("product invariant differs from construction")
+    return _run_trials(range(trials), check)
 
 
 def _suite_summand_encoding(n: int, trials: int, rng: random.Random) -> list[dict]:
     """Pairs of extremal involutions encode direct summands: two pairs
     determine the same summand exactly when every cross product is an
     equality or an even transvection."""
-    failures = []
-    for t in range(trials):
-        inputs: dict = {}
-        try:
-            U = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
-            cols = [list(c) for c in U.columns()]
 
-            def line(base: int, coeffs):
-                others = [c for i, c in enumerate(cols) if i != base]
-                return [
-                    cols[base][i] + sum(c * h[i] for c, h in zip(coeffs, others))
-                    for i in range(n)
-                ]
+    def check(t: int, inputs: dict) -> None:
+        U = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
+        cols = [list(c) for c in U.columns()]
 
-            def distinct_coeffs():
-                seen = set()
-                out = []
-                while len(out) < 4:
-                    c = tuple(rng.randint(-2, 2) for _ in range(n - 1))
-                    if c not in seen:
-                        seen.add(c)
-                        out.append(list(c))
-                return out
+        def line(base: int, coeffs):
+            others = [c for i, c in enumerate(cols) if i != base]
+            return [
+                cols[base][i] + sum(c * h[i] for c, h in zip(coeffs, others))
+                for i in range(n)
+            ]
 
-            c1, c2, c3, c4 = distinct_coeffs()
-            plus0 = [c for i, c in enumerate(cols) if i != 0]
-            pair_a = (
-                involution_from_splitting(plus0, [line(0, c1)]),
-                involution_from_splitting(plus0, [line(0, c2)]),
-            )
-            pair_b = (
-                involution_from_splitting(plus0, [line(0, c3)]),
-                involution_from_splitting(plus0, [line(0, c4)]),
-            )
-            plus1 = [c for i, c in enumerate(cols) if i != 1]
-            pair_c = (
-                involution_from_splitting(plus1, [line(1, c1)]),
-                involution_from_splitting(plus1, [line(1, c2)]),
-            )
-            inputs["a1"], inputs["b1"], inputs["c1"] = pair_a[0], pair_b[0], pair_c[0]
-            if not shared_summand_predicate(pair_a, pair_b):
-                raise _TrialFailure("pairs encoding one hyperplane were separated")
-            if shared_summand_predicate(pair_a, pair_c):
-                raise _TrialFailure("pairs encoding different hyperplanes were identified")
-            # line-side encodings
-            def hyper(c_line, shift):
-                others = [c for i, c in enumerate(cols) if i != 0]
-                return [
-                    [h[i] + s * cols[0][i] for i in range(n)]
-                    for s, h in zip(shift, others)
-                ]
+        def distinct_coeffs():
+            seen = set()
+            out = []
+            while len(out) < 4:
+                c = tuple(rng.randint(-2, 2) for _ in range(n - 1))
+                if c not in seen:
+                    seen.add(c)
+                    out.append(list(c))
+            return out
 
-            s1, s2, s3, s4 = distinct_coeffs()
-            v = cols[0]
-            pair_d = (
-                involution_from_splitting(hyper(v, s1), [v]),
-                involution_from_splitting(hyper(v, s2), [v]),
-            )
-            pair_e = (
-                involution_from_splitting(hyper(v, s3), [v]),
-                involution_from_splitting(hyper(v, s4), [v]),
-            )
-            if not shared_summand_predicate(pair_d, pair_e):
-                raise _TrialFailure("pairs encoding one line were separated")
-            sem_a = mutual_subgroup(*pair_a).shared
-            sem_b = mutual_subgroup(*pair_b).shared
-            if (sem_a == sem_b) != shared_summand_predicate(pair_a, pair_b):
-                raise _TrialFailure("predicate and lattice comparison disagree")
-            if t % 7 == 0:
-                try:
-                    shared_summand_predicate(pair_a, pair_d)
-                except ValueError:
-                    pass
-                else:
-                    raise _TrialFailure("side mismatch was not rejected")
-        except Exception as exc:
-            failures.append(_failure(t, str(exc), inputs))
-    return failures
+        c1, c2, c3, c4 = distinct_coeffs()
+        plus0 = [c for i, c in enumerate(cols) if i != 0]
+        pair_a = (
+            involution_from_splitting(plus0, [line(0, c1)]),
+            involution_from_splitting(plus0, [line(0, c2)]),
+        )
+        pair_b = (
+            involution_from_splitting(plus0, [line(0, c3)]),
+            involution_from_splitting(plus0, [line(0, c4)]),
+        )
+        plus1 = [c for i, c in enumerate(cols) if i != 1]
+        pair_c = (
+            involution_from_splitting(plus1, [line(1, c1)]),
+            involution_from_splitting(plus1, [line(1, c2)]),
+        )
+        inputs["a1"], inputs["b1"], inputs["c1"] = pair_a[0], pair_b[0], pair_c[0]
+        if not shared_summand_predicate(pair_a, pair_b):
+            raise _TrialFailure("pairs encoding one hyperplane were separated")
+        if shared_summand_predicate(pair_a, pair_c):
+            raise _TrialFailure("pairs encoding different hyperplanes were identified")
+        # line-side encodings
+        def hyper(shift):
+            return [
+                [h[i] + s * cols[0][i] for i in range(n)]
+                for s, h in zip(shift, plus0)
+            ]
+
+        s1, s2, s3, s4 = distinct_coeffs()
+        v = cols[0]
+        pair_d = (
+            involution_from_splitting(hyper(s1), [v]),
+            involution_from_splitting(hyper(s2), [v]),
+        )
+        pair_e = (
+            involution_from_splitting(hyper(s3), [v]),
+            involution_from_splitting(hyper(s4), [v]),
+        )
+        if not shared_summand_predicate(pair_d, pair_e):
+            raise _TrialFailure("pairs encoding one line were separated")
+        sem_a = mutual_subgroup(*pair_a).shared
+        sem_b = mutual_subgroup(*pair_b).shared
+        if (sem_a == sem_b) != shared_summand_predicate(pair_a, pair_b):
+            raise _TrialFailure("predicate and lattice comparison disagree")
+        if t % 7 == 0:
+            try:
+                shared_summand_predicate(pair_a, pair_d)
+            except ValueError:
+                pass
+            else:
+                raise _TrialFailure("side mismatch was not rejected")
+    return _run_trials(range(trials), check)
 
 
 def _suite_commuting_family(n: int, trials: int, rng: random.Random) -> list[dict]:
     """The n coordinate-negating involutions form a maximal commuting
     family of extremal involutions: exhaustively over sign matrices, and
     by rejection of random conjugates, its extremal centralizer is itself."""
-    failures = []
     family = standard_commuting_family(n)
-    try:
+
+    def sign_matrices(t: int, inputs: dict) -> None:
         if len(family) != n:
             raise _TrialFailure("family has the wrong size")
         members = 0
@@ -514,33 +495,28 @@ def _suite_commuting_family(n: int, trials: int, rng: random.Random) -> list[dic
                     raise _TrialFailure("extremal sign matrix outside the family")
         if members != n:
             raise _TrialFailure("wrong number of extremal sign matrices")
-    except Exception as exc:
-        failures.append(_failure(-1, str(exc), {}))
-    for t in range(trials):
-        inputs: dict = {}
-        try:
-            p = rng.randint(0, n // 2)
-            rem = n - 2 * p
-            a = rng.randint(0, rem)
-            P = _sample_involution(rng, n, a, rem - a, p)
-            inputs["P"] = P
-            if all(P * f == f * P for f in family) and classify(P).name == EXTREMAL:
-                if P not in family:
-                    raise _TrialFailure(
-                        "extremal involution commutes with the family but is not in it"
-                    )
-        except Exception as exc:
-            failures.append(_failure(t, str(exc), inputs))
-    return failures
+
+    def check(t: int, inputs: dict) -> None:
+        p = rng.randint(0, n // 2)
+        rem = n - 2 * p
+        a = rng.randint(0, rem)
+        P = _sample_involution(rng, n, a, rem - a, p)
+        inputs["P"] = P
+        if all(P * f == f * P for f in family) and classify(P).name == EXTREMAL:
+            if P not in family:
+                raise _TrialFailure(
+                    "extremal involution commutes with the family but is not in it"
+                )
+    # the exhaustive pass runs once, before the trials, as trial -1
+    return _run_trials(range(-1, 0), sign_matrices) + _run_trials(range(trials), check)
 
 
 def _suite_rank3_identities(n: int, trials: int, rng: random.Random) -> list[dict]:
     """Exact rank-2 and rank-3 identities: braid-relation involutions and
     their transvection squares, unipotent square roots, and the commutator
     discrimination of the unit shear."""
-    del n, trials, rng
-    failures = []
-    try:
+
+    def check(t: int, inputs: dict) -> None:
         commutator_identities()
         roots = unipotent_sqrt_sl2(IntMatrix(((1, 2), (0, 1))))
         shear = IntMatrix(((1, 1), (0, 1)))
@@ -556,9 +532,8 @@ def _suite_rank3_identities(n: int, trials: int, rng: random.Random) -> list[dic
                 raise _TrialFailure("braid solution square is not a 2-transvection")
             if profile(R) != profile(IntMatrix(((0, 1), (1, 0)))):
                 raise _TrialFailure("braid solution is not swap-conjugate")
-    except Exception as exc:
-        failures.append(_failure(0, str(exc), {}))
-    return failures
+    # fixed identities: one trial, whatever the trial count
+    return _run_trials(range(1), check)
 
 
 def _random_gamma2(rng: random.Random, n: int, length: int = 10) -> tuple[IntMatrix, IntMatrix]:
@@ -579,18 +554,12 @@ def _line_mover(target: Vector, i: int, n: int) -> IntMatrix:
     a = target[i]
     rest = [x if t != i else 0 for t, x in enumerate(target)]
     if not any(rest):
-        rows = [[int(r == c) for c in range(n)] for r in range(n)]
-        rows[i][i] = a
+        # target = a e_i with a = +-1; the partner sign keeps det 1
         partner = (i + 1) % n
-        rows[partner][partner] = a
-        return IntMatrix(tuple(tuple(r) for r in rows))
+        return IntMatrix.diagonal([a if r in (i, partner) else 1 for r in range(n)])
     c2, g = content_and_primitive(rest)
-    block = lift_row_to_sl3(a, c2)
     V, V_inv = _basis_completion_pair([_unit(n, i), g])
-    rows = [[int(r == c) for c in range(n)] for r in range(n)]
-    rows[0][0], rows[0][1] = block.rows[0][0], block.rows[0][1]
-    rows[1][0], rows[1][1] = block.rows[1][0], block.rows[1][1]
-    core = IntMatrix(tuple(tuple(r) for r in rows))
+    core = _embed2(lift_row_to_sl3(a, c2), n)
     return V * core * V_inv
 
 
@@ -599,70 +568,52 @@ def _suite_congruence_summands(n: int, trials: int, rng: random.Random) -> list[
     a member moves every coordinate line and hyperplane exactly like a
     constructed level-2 element; a non-member breaks the parity pattern of
     the coefficients on some coordinate pair."""
-    failures = []
     units = [_unit(n, i) for i in range(n)]
-    for t in range(trials):
-        inputs: dict = {}
-        try:
-            sigma, sigma_inv = _random_gamma2(rng, n)
-            inputs["sigma"] = sigma
-            if not in_gamma(sigma, 2):
-                raise _TrialFailure("sampled element is not a level-2 member")
-            for i in range(n):
-                mover = _line_mover(sigma.column(i), i, n)
-                if mover.column(i) != sigma.column(i):
-                    raise _TrialFailure("line mover misses the image vector")
-                if mover.det() != 1 or not in_gamma(mover, 2):
-                    raise _TrialFailure("line mover leaves the congruence subgroup")
-                dual = _line_mover(sigma_inv.rows[i], i, n)
-                rho = dual.transpose().inverse()
-                if not in_gamma(rho, 2) or rho.det() != 1:
-                    raise _TrialFailure("hyperplane mover leaves the congruence subgroup")
-                hyper = Lattice(n, tuple(units[j] for j in range(n) if j != i))
-                if sigma * hyper != rho * hyper:
-                    raise _TrialFailure("hyperplane images differ")
-            outside = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
-            if in_gamma(outside, 2):
-                outside = outside * IntMatrix.elementary(n, 0, 1, 1)
-            inputs["outside"] = outside
-            bad = None
-            for i in range(n):
-                if outside.rows[i][i] % 2 == 0:
-                    bad = (i, i)
-                    break
-                for j in range(n):
-                    if i != j and outside.rows[i][j] % 2:
-                        bad = (i, j)
-                        break
-                if bad:
-                    break
-            if bad is None:
-                raise _TrialFailure("non-member shows no parity violation")
-        except Exception as exc:
-            failures.append(_failure(t, str(exc), inputs))
-    return failures
+
+    def check(t: int, inputs: dict) -> None:
+        sigma, sigma_inv = _random_gamma2(rng, n)
+        inputs["sigma"] = sigma
+        if not in_gamma(sigma, 2):
+            raise _TrialFailure("sampled element is not a level-2 member")
+        for i in range(n):
+            mover = _line_mover(sigma.column(i), i, n)
+            if mover.column(i) != sigma.column(i):
+                raise _TrialFailure("line mover misses the image vector")
+            if mover.det() != 1 or not in_gamma(mover, 2):
+                raise _TrialFailure("line mover leaves the congruence subgroup")
+            dual = _line_mover(sigma_inv.rows[i], i, n)
+            rho = dual.transpose().inverse()
+            if not in_gamma(rho, 2) or rho.det() != 1:
+                raise _TrialFailure("hyperplane mover leaves the congruence subgroup")
+            hyper = Lattice(n, tuple(units[j] for j in range(n) if j != i))
+            if sigma * hyper != rho * hyper:
+                raise _TrialFailure("hyperplane images differ")
+        outside = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
+        if in_gamma(outside, 2):
+            outside = outside * IntMatrix.elementary(n, 0, 1, 1)
+        inputs["outside"] = outside
+        # some entry must differ in parity from the identity's
+        if all(outside.rows[i][j] % 2 == (i == j) for i in range(n) for j in range(n)):
+            raise _TrialFailure("non-member shows no parity violation")
+    return _run_trials(range(trials), check)
 
 
 def _suite_mod2_lifting(n: int, trials: int, rng: random.Random) -> list[dict]:
     """Every invertible matrix over GF(2) lifts to SL(n, Z) with the exact
     mod-2 reduction."""
-    failures = []
-    for t in range(trials):
-        inputs: dict = {}
-        try:
-            while True:
-                rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
-                Mbar = IntMatrix(tuple(tuple(r) for r in rows))
-                if rank_mod2(Mbar) == n:
-                    break
-            inputs["Mbar"] = Mbar
-            lifted = lift_mod2(rows)
-            if lifted.det() != 1 or lifted.mod(2) != Mbar.mod(2):
-                inputs["lifted"] = lifted
-                raise _TrialFailure("lift does not reduce to the input")
-        except Exception as exc:
-            failures.append(_failure(t, str(exc), inputs))
-    return failures
+
+    def check(t: int, inputs: dict) -> None:
+        while True:
+            rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+            Mbar = IntMatrix(tuple(tuple(r) for r in rows))
+            if rank_mod2(Mbar) == n:
+                break
+        inputs["Mbar"] = Mbar
+        lifted = lift_mod2(rows)
+        if lifted.det() != 1 or lifted.mod(2) != Mbar.mod(2):
+            inputs["lifted"] = lifted
+            raise _TrialFailure("lift does not reduce to the input")
+    return _run_trials(range(trials), check)
 
 
 _SUITES: dict[str, tuple[Callable, int, int | None, str]] = {

@@ -265,7 +265,10 @@ class TestVerifyCommand:
         import glnz.verify as verify_module
 
         def broken(n, trials, rng):
-            return [verify_module._failure(0, "synthetic", {})]
+            def check(t, inputs):
+                raise verify_module._TrialFailure("synthetic")
+
+            return verify_module._run_trials(range(1), check)
 
         monkeypatch.setitem(
             verify_module._SUITES, "MU_SURJ", (broken, 1, None, "test")
@@ -276,6 +279,33 @@ class TestVerifyCommand:
         )
         assert code == 4
         assert json.loads(out)["passed"] is False
+
+
+    @pytest.mark.parametrize(
+        "error,category", [(RuntimeError, "postcondition"), (TypeError, "crash")]
+    )
+    def test_postcondition_or_crash_exits_5(self, capsys, monkeypatch, error, category):
+        import glnz.verify as verify_module
+
+        def broken(n, trials, rng):
+            def check(t, inputs):
+                if t == 0:
+                    raise verify_module._TrialFailure("synthetic")
+                raise error("broken library call")
+
+            return verify_module._run_trials(range(trials), check)
+
+        monkeypatch.setitem(
+            verify_module._SUITES, "MU_SURJ", (broken, 1, None, "test")
+        )
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", "--suite", "MU_SURJ", "--n", "2", "--trials", "2", "--seed", "0"],
+        )
+        assert code == 5
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert [f["category"] for f in doc["failures"]] == ["counterexample", category]
 
 
 class TestInternalError:

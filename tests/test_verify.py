@@ -114,12 +114,11 @@ def test_failures_carry_inputs(monkeypatch):
     def broken(n, trials, rng):
         from glnz.exactmat import IntMatrix
 
-        return [
-            verify_module._failure(
-                t, "synthetic failure", {"M": IntMatrix.identity(n)}
-            )
-            for t in range(trials)
-        ]
+        def check(t, inputs):
+            inputs["M"] = IntMatrix.identity(n)
+            raise verify_module._TrialFailure("synthetic failure")
+
+        return verify_module._run_trials(range(trials), check)
 
     monkeypatch.setitem(
         verify_module._SUITES, "L1_3", (broken, 2, None, "test window")
@@ -128,6 +127,53 @@ def test_failures_carry_inputs(monkeypatch):
     assert not report.passed
     assert report.failures[0]["inputs"]["M"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert report.failures[0]["trial"] == 0
+
+
+def test_failures_are_typed_and_trials_continue(monkeypatch):
+    import glnz.verify as verify_module
+    from glnz.exactmat import IntMatrix
+
+    raised = [
+        verify_module._TrialFailure("claim fails"),
+        RuntimeError("self-check fails"),
+        TypeError("bad operand"),
+    ]
+    ran = []
+
+    def body(n, trials, rng):
+        def check(t, inputs):
+            ran.append(t)
+            inputs["M"] = IntMatrix.diagonal([t + 1] * n)
+            if t < len(raised):
+                raise raised[t]
+
+        return verify_module._run_trials(range(trials), check)
+
+    monkeypatch.setitem(verify_module._SUITES, "L1_3", (body, 2, None, "test window"))
+    report = run_suite("L1_3", 2, 4, 0)
+    assert ran == [0, 1, 2, 3]
+    assert [(f["trial"], f["category"], f["reason"]) for f in report.failures] == [
+        (0, "counterexample", "claim fails"),
+        (1, "postcondition", "self-check fails"),
+        (2, "crash", "bad operand"),
+    ]
+    assert [f["inputs"] for f in report.failures] == [
+        {"M": [[t + 1, 0], [0, t + 1]]} for t in range(3)
+    ]
+    assert list(report.failures[0]) == ["trial", "reason", "category", "inputs"]
+
+
+def test_library_type_error_is_a_crash(monkeypatch):
+    import glnz.verify as verify_module
+
+    def broken(P):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(verify_module, "order3_witness", broken)
+    report = run_suite("L1_3", 4, 3, seed=1)
+    assert [f["trial"] for f in report.failures] == [0, 1, 2]
+    assert {f["category"] for f in report.failures} == {"crash"}
+    assert all(list(f["inputs"]) == ["P"] for f in report.failures)
 
 
 def test_commuting_family_pass_is_trial_minus_one(monkeypatch):
@@ -150,6 +196,7 @@ def test_commuting_family_pass_is_trial_minus_one(monkeypatch):
     assert not report.passed
     assert report.failures[0]["trial"] == -1
     assert report.failures[0]["reason"] == "family has the wrong size"
+    assert report.failures[0]["category"] == "counterexample"
     assert report.failures[0]["inputs"] == {}
     assert [f["trial"] for f in report.failures].count(-1) == 1
     assert len(sampled) == trials
@@ -166,6 +213,7 @@ def test_rank3_identities_run_once_as_trial_zero(monkeypatch):
     assert len(report.failures) == 1
     assert report.failures[0]["trial"] == 0
     assert report.failures[0]["reason"] == "commutator identity does not hold"
+    assert report.failures[0]["category"] == "postcondition"
     assert report.failures[0]["inputs"] == {}
 
 
