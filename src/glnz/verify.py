@@ -3,7 +3,8 @@
 Each suite binds one structural claim about involutions, transvections or
 congruence subgroups of GL(n, Z) to an executable, replayable check.
 Reports are deterministic functions of (suite, n, trials, seed) apart from
-the wall-clock field; failures carry the offending input matrices.
+the wall-clock field; failures carry the offending input matrices and a
+category: counterexample, postcondition (a library self-check) or crash.
 
 Sampling never leaves the intended conjugacy class: every random element
 is a seeded unimodular conjugate of an explicit canonical matrix, and the
