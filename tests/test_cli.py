@@ -205,6 +205,11 @@ class TestWitnessCommand:
         doc = json.loads(out)
         assert doc["product_kind"] == "gamma_involution"
         assert doc["product_gamma"] == 4
+        witness = parse_matrix_document(doc["witness"])
+        product = parse_matrix_document(doc["product"])
+        assert product == M * witness
+        kind = involution.classify(product)
+        assert (doc["product_kind"], doc["product_gamma"]) == (kind.name, kind.gamma)
 
     def test_four_on_single_swap_exits_3(self, capsys, monkeypatch):
         M = involution.canonical_block(7, 0, 1)

@@ -148,6 +148,31 @@ def _bounded_sqrt_search(T, bound):
     return sorted(set(found), key=lambda m: m.rows)
 
 
+def _bounded_braid_search(bound):
+    """All R other than the swap S with entries in [-bound, bound], trace 0,
+    determinant -1 and S R S = R S R.  Trace 0 makes R = [[a, b], [c, -a]]
+    and determinant -1 pins b c = 1 - a^2, so only divisor pairs are
+    enumerated."""
+    S = IntMatrix(((0, 1), (1, 0)))
+    found = []
+    for a in range(-bound, bound + 1):
+        rest = 1 - a * a
+        if rest == 0:
+            pairs = [(0, c) for c in range(-bound, bound + 1)]
+            pairs += [(b, 0) for b in range(-bound, bound + 1)]
+        else:
+            pairs = [
+                (b, rest // b)
+                for b in range(-bound, bound + 1)
+                if b and rest % b == 0 and abs(rest // b) <= bound
+            ]
+        for b, c in pairs:
+            R = IntMatrix(((a, b), (c, -a)))
+            if R != S and R.det() == -1 and S * R * S == R * S * R:
+                found.append(R)
+    return sorted(set(found), key=lambda m: m.rows)
+
+
 class TestUnipotentSqrt:
     def test_double_shear(self):
         T = IntMatrix(((1, 2), (0, 1)))
@@ -181,6 +206,9 @@ class TestBraidInvolutions:
 
     def test_exact_solution_set(self):
         assert set(braid_involution_solutions()) == self.EXPECTED
+
+    def test_completeness_against_bounded_search(self):
+        assert list(braid_involution_solutions()) == _bounded_braid_search(100)
 
     def test_solutions_are_swap_like_involutions(self):
         swap = IntMatrix(((0, 1), (1, 0)))

@@ -137,6 +137,35 @@ class TestClassify:
         assert classify(canonical_block(2, 1, 1)).name == NONDIAGONALIZABLE_OTHER
         assert classify(canonical_block(3, 0, 2)).name == NONDIAGONALIZABLE_OTHER
 
+    def test_every_shape_up_to_rank_10_matches_readme(self):
+        for n in range(1, 11):
+            for shape, kind in readme_kinds(n).items():
+                assert classify(canonical_block(*shape)) == kind, shape
+
+
+def readme_kinds(n):
+    """The kind of every shape (a, b, p) of rank n, written out from the
+    class definitions in the README: central is +-I; extremal negates one
+    direction and fixes the other n - 1 >= 2; gamma_involution(g) negates
+    g >= 2 directions and fixes more than g; one_permutation is one swap
+    pair with every other basis vector fixed, or every other one negated;
+    the rest is diagonalizable_other without swap pairs and
+    nondiagonalizable_other with them."""
+    table = {}
+    for p in range(n // 2 + 1):
+        other = InvolutionKind(NONDIAGONALIZABLE_OTHER if p else DIAGONALIZABLE_OTHER)
+        for a in range(n - 2 * p + 1):
+            table[(a, n - 2 * p - a, p)] = other
+    table[(n, 0, 0)] = table[(0, n, 0)] = InvolutionKind(CENTRAL)
+    if n >= 3:
+        table[(n - 1, 1, 0)] = InvolutionKind(EXTREMAL, 1)
+    for g in range(2, n):
+        if n - g > g:
+            table[(n - g, g, 0)] = InvolutionKind(GAMMA_INVOLUTION, g)
+    if n >= 2:
+        table[(n - 2, 0, 1)] = table[(0, n - 2, 1)] = InvolutionKind(ONE_PERMUTATION)
+    return table
+
 
 class TestConjugacy:
     def test_swap_conjugate_to_sheared(self):
