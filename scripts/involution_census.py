@@ -25,6 +25,7 @@ def main() -> int:
         classify,
         eigen_lattices,
         profile,
+        residue,
     )
 
     rng = random.Random(args.seed)
@@ -42,6 +43,8 @@ def main() -> int:
                 P = U * seed_matrix * U.inverse()
                 prof = profile(P)
                 assert (prof.a, prof.b, prof.p) == (a, b, p)
+                assert prof.kind == kind
+                assert residue(P) == p
                 cb = canonical_form(P)
                 assert cb.U.inverse() * P * cb.U == cb.block_matrix()
                 ok += 1

@@ -71,7 +71,7 @@ def _read_document(path: str | None) -> IntMatrix:
     text = sys.stdin.read() if path is None else open(path, "r", encoding="utf-8").read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer over the digit limit
         raise ParseError(f"invalid JSON input: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON input: nested too deeply") from exc
@@ -98,12 +98,11 @@ def cmd_classify(args) -> int:
     report: dict = {"n": M.n, "det": _encode_int(M.det())}
     if involution.is_involution(M):
         prof = involution.profile(M)
-        kind = involution.classify(M)
         report["is_involution"] = True
         report["profile"] = [prof.a, prof.b, prof.p]
         report["diagonalizable"] = prof.diagonalizable
         report["residue"] = prof.p
-        report.update(_kind_payload(kind))
+        report.update(_kind_payload(prof.kind))
     else:
         report["is_involution"] = False
         report["profile"] = None
@@ -204,14 +203,13 @@ def cmd_witness(args) -> int:
     else:
         witness = involution.four_involution_witness(M)
         product = M * witness
-        kind = involution.classify(product)
         _emit(
             {
                 "mode": "four",
                 "witness": matrix_payload(witness),
                 "product": matrix_payload(product),
-                "product_kind": kind.name,
-                "product_gamma": kind.gamma,
+                "product_kind": involution.GAMMA_INVOLUTION,
+                "product_gamma": 4,
             }
         )
     return 0

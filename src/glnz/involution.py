@@ -58,6 +58,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class InvolutionKind:
+    name: str
+    gamma: int | None = None
+
+
+@dataclass(frozen=True)
 class InvolutionProfile:
     """Block sizes of the canonical basis: a fixed vectors, b negated
     vectors, p swap pairs; a + b + 2p = n."""
@@ -65,7 +71,10 @@ class InvolutionProfile:
     a: int
     b: int
     p: int
-    diagonalizable: bool
+
+    @property
+    def diagonalizable(self) -> bool:
+        return self.p == 0
 
     @property
     def rank_plus(self) -> int:
@@ -75,18 +84,28 @@ class InvolutionProfile:
     def rank_minus(self) -> int:
         return self.b + self.p
 
+    @property
+    def kind(self) -> InvolutionKind:
+        """The conjugacy class the profile belongs to."""
+        a, b, p = self.a, self.b, self.p
+        if self.diagonalizable:
+            if a == 0 or b == 0:
+                return InvolutionKind(CENTRAL)
+            if b == 1 < a:
+                return InvolutionKind(EXTREMAL, 1)
+            if b < a:
+                return InvolutionKind(GAMMA_INVOLUTION, b)
+            return InvolutionKind(DIAGONALIZABLE_OTHER)
+        if p == 1 and (a == 0 or b == 0):
+            return InvolutionKind(ONE_PERMUTATION)
+        return InvolutionKind(NONDIAGONALIZABLE_OTHER)
+
 
 @dataclass(frozen=True)
 class BlockLayout:
     fixed: tuple[int, int]
     negated: tuple[int, int]
     pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class InvolutionKind:
-    name: str
-    gamma: int | None = None
 
 
 @dataclass(frozen=True)
@@ -149,22 +168,11 @@ def profile(P: IntMatrix) -> InvolutionProfile:
     b = n - rational_rank(P.shifted(1)) - p
     if a < 0 or b < 0 or a + b + 2 * p != n:
         raise RuntimeError("inconsistent involution invariants")
-    return InvolutionProfile(a, b, p, p == 0)
+    return InvolutionProfile(a, b, p)
 
 
 def classify(P: IntMatrix) -> InvolutionKind:
-    prof = profile(P)
-    if prof.a == P.n or prof.b == P.n:
-        return InvolutionKind(CENTRAL)
-    if prof.diagonalizable:
-        if 0 < prof.b < prof.a:
-            if prof.b == 1:
-                return InvolutionKind(EXTREMAL, 1)
-            return InvolutionKind(GAMMA_INVOLUTION, prof.b)
-        return InvolutionKind(DIAGONALIZABLE_OTHER)
-    if prof.p == 1 and (prof.a == 0 or prof.b == 0):
-        return InvolutionKind(ONE_PERMUTATION)
-    return InvolutionKind(NONDIAGONALIZABLE_OTHER)
+    return profile(P).kind
 
 
 def involutions_conjugate(P: IntMatrix, Q: IntMatrix) -> bool:
@@ -245,7 +253,7 @@ def canonical_form(P: IntMatrix) -> CanonicalBasis:
     cols = fixed + negated + [v for pair in pairs for v in pair]
     U = IntMatrix.from_columns(cols)
     a, b, p = len(fixed), len(negated), len(pairs)
-    prof = InvolutionProfile(a, b, p, p == 0)
+    prof = InvolutionProfile(a, b, p)
     layout = BlockLayout(
         fixed=(0, a),
         negated=(a, a + b),
@@ -256,6 +264,15 @@ def canonical_form(P: IntMatrix) -> CanonicalBasis:
     if abs(U.det()) != 1 or P * U != U * result.block_matrix():
         raise RuntimeError("canonical basis postcondition violated")
     return result
+
+
+def _modified_conjugate(cb: CanonicalBasis, changes: dict[tuple[int, int], int]) -> IntMatrix:
+    """U B' U^-1, where B' is the canonical block of cb with the entries
+    at the given positions replaced."""
+    rows = [list(r) for r in cb.block_matrix().rows]
+    for (i, j), x in changes.items():
+        rows[i][j] = x
+    return cb.U * IntMatrix(tuple(tuple(r) for r in rows)) * cb.U.inverse()
 
 
 def order3_witness(P: IntMatrix) -> IntMatrix:
@@ -269,13 +286,12 @@ def order3_witness(P: IntMatrix) -> IntMatrix:
     if cb.profile.p == 0:
         raise ValueError("diagonalizable involution admits no order-three witness")
     lo, _ = cb.layout.pairs[0]
-    rows = [list(r) for r in cb.block_matrix().rows]
-    rows[lo][lo], rows[lo][lo + 1] = 1, -1
-    rows[lo + 1][lo], rows[lo + 1][lo + 1] = 0, -1
-    witness = cb.U * IntMatrix(tuple(tuple(r) for r in rows)) * cb.U.inverse()
+    witness = _modified_conjugate(
+        cb, {(lo, lo): 1, (lo, lo + 1): -1, (lo + 1, lo): 0, (lo + 1, lo + 1): -1}
+    )
     if (
         not is_involution(witness)
-        or not involutions_conjugate(P, witness)
+        or profile(witness) != cb.profile
         or element_order(P * witness, 3) != 3
     ):
         raise RuntimeError("order-three witness postcondition violated")
@@ -298,25 +314,16 @@ def four_involution_witness(P: IntMatrix) -> IntMatrix:
         raise ValueError("one-permutations admit no four-involution witness")
     if P.n < 9:
         raise ValueError("rank too small for a four-involution product")
-    rows = [list(r) for r in cb.block_matrix().rows]
-    if prof.p >= 2:
-        for t in (0, 1):
-            lo, _ = cb.layout.pairs[t]
-            rows[lo][lo + 1] = -1
-            rows[lo + 1][lo] = -1
-    else:
-        lo, _ = cb.layout.pairs[0]
-        rows[lo][lo + 1] = -1
-        rows[lo + 1][lo] = -1
-        rows[0][0] = -1
-        neg = prof.a
-        rows[neg][neg] = 1
-    witness = cb.U * IntMatrix(tuple(tuple(r) for r in rows)) * cb.U.inverse()
-    product_kind = classify(P * witness)
+    changes = {}
+    for lo, _ in cb.layout.pairs[:2]:
+        changes[lo, lo + 1] = changes[lo + 1, lo] = -1
+    if prof.p == 1:
+        changes[0, 0], changes[prof.a, prof.a] = -1, 1
+    witness = _modified_conjugate(cb, changes)
     if (
         not is_involution(witness)
-        or not involutions_conjugate(P, witness)
-        or product_kind != InvolutionKind(GAMMA_INVOLUTION, 4)
+        or profile(witness) != prof
+        or classify(P * witness) != InvolutionKind(GAMMA_INVOLUTION, 4)
     ):
         raise RuntimeError("four-involution witness postcondition violated")
     return witness

@@ -89,6 +89,17 @@ class TestClassifyCommand:
         assert out == ""
         assert err == "parse error: invalid JSON input: nested too deeply\n"
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_entry_over_digit_limit_exits_2(self, capsys, monkeypatch, quote):
+        # Python caps int <-> str conversion at 4300 digits; bare and quoted
+        # entries over the cap are both parse errors
+        entry = quote + "7" * 5001 + quote
+        doc = '{"n": 2, "rows": [[1, %s], [0, 1]]}' % entry
+        code, out, err = run_cli(capsys, ["classify"], doc, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ")
+
     def test_matches_library(self, capsys, monkeypatch):
         M = IntMatrix(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
         code, out, _ = run_cli(

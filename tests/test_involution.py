@@ -317,4 +317,4 @@ def test_rank_profile_matches_eigen_lattices(seed):
         P = conj(canonical_block(a, b, p), random_unimodular(n, 8, 2, rng.randrange(1 << 30)))
         plus, minus = eigen_lattices(P)
         assert (plus.rank, minus.rank) == (a + p, b + p)
-        assert profile(P) == InvolutionProfile(a, b, p, p == 0)
+        assert profile(P) == InvolutionProfile(a, b, p)
