@@ -283,7 +283,7 @@ def order3_witness(P: IntMatrix) -> IntMatrix:
     [[1, -1], [0, -1]]; the swap times that block is a rotation of order 3.
     """
     cb = canonical_form(P)
-    if cb.profile.p == 0:
+    if cb.profile.diagonalizable:
         raise ValueError("diagonalizable involution admits no order-three witness")
     lo, _ = cb.layout.pairs[0]
     witness = _modified_conjugate(
@@ -308,9 +308,9 @@ def four_involution_witness(P: IntMatrix) -> IntMatrix:
     """
     cb = canonical_form(P)
     prof = cb.profile
-    if prof.p == 0:
+    if prof.diagonalizable:
         raise ValueError("involution must be non-diagonalizable")
-    if prof.p == 1 and (prof.a == 0 or prof.b == 0):
+    if prof.kind.name == ONE_PERMUTATION:
         raise ValueError("one-permutations admit no four-involution witness")
     if P.n < 9:
         raise ValueError("rank too small for a four-involution product")

@@ -163,6 +163,7 @@ def _suite_order3(n: int, trials: int, rng: random.Random) -> list[dict]:
         a = rng.randint(0, rem)
         P = _sample_involution(rng, n, a, rem - a, p)
         inputs["P"] = P
+        # the witness's postcondition checks that P * witness has order three
         inputs["witness"] = order3_witness(P)
         for _ in range(5):
             signs = [rng.choice((1, -1)) for _ in range(n)]
@@ -257,6 +258,7 @@ def _suite_four_involutions(n: int, trials: int, rng: random.Random) -> list[dic
         a = rng.randint(1, rem - 1) if p == 1 else rng.randint(0, rem)
         P = _sample_involution(rng, n, a, rem - a, p)
         inputs["P"] = P
+        # the witness's postcondition checks that P * witness is a 4-involution
         four_involution_witness(P)
         if t % 10 == 0:
             try:
