@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Dump the program's observable outputs in a stable text form.
+
+Two sections, one line per output:
+
+* every SMOKE suite configuration of ``tests/test_verify.py`` at three
+  seeds, as the report JSON without ``elapsed_ms``;
+* the exit code, stdout and stderr of each CLI subcommand on a fixed set of
+  documents: canonical blocks, diagonalizable and swap-pair (p > 0)
+  conjugates, non-involutions and a few malformed or rejected inputs.
+  Each ``canon`` and ``witness`` result that exits 0 is followed by a line
+  saying whether it checks out.
+
+Run it on two checkouts and diff the files:
+
+    PYTHONPATH=src python scripts/output_dump.py > dump.txt
+
+Standard library only, apart from the glnz package under test.
+"""
+
+import argparse
+import ast
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+SEEDS = (11, 2024, 777)
+TEST_VERIFY = Path(__file__).resolve().parents[1] / "tests" / "test_verify.py"
+
+
+def smoke_configs() -> list:
+    """The SMOKE list of tests/test_verify.py, read without importing the
+    test module (which needs pytest)."""
+    tree = ast.parse(TEST_VERIFY.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SMOKE" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"no SMOKE list in {TEST_VERIFY}")
+
+
+def documents() -> list:
+    """(name, JSON text) of every matrix document fed to the CLI."""
+    from glnz.exactmat import IntMatrix, random_elementary_word, random_unimodular
+    from glnz.involution import canonical_block
+
+    def doc(M):
+        return json.dumps({"n": M.n, "rows": [[str(x) for x in r] for r in M.rows]})
+
+    out = []
+    shapes = [(a, n - 2 * p - a, p) for n in range(1, 6) for p in range(n // 2 + 1)
+              for a in range(n - 2 * p + 1)]
+    shapes += [(5, 0, 2), (4, 3, 1), (7, 0, 1), (1, 0, 4), (3, 2, 2), (0, 9, 0)]
+    for shape in shapes:
+        out.append((f"block{shape}", doc(canonical_block(*shape))))
+    rng = random.Random(5)
+    for shape in shapes:
+        n = sum(shape) + shape[2]
+        for k in range(2):
+            U = random_unimodular(n, 10, 3, rng.randrange(1 << 30))
+            P = U * canonical_block(*shape) * U.inverse()
+            out.append((f"conj{shape}#{k}", doc(P)))
+    for n in (2, 3, 4, 6):
+        out.append((f"word{n}", doc(random_elementary_word(n, 12, 3, n))))
+        out.append((f"unimodular{n}", doc(random_unimodular(n, 12, 3, n))))
+    out.append(("singular", doc(IntMatrix.diagonal((2, 1)))))
+    out.append(("not-json", "{"))
+    out.append(("ragged", '{"n": 2, "rows": [[1, 0], [0]]}'))
+    return out
+
+
+def check(argv: list, text: str, stdout: str) -> str:
+    """Whether a canon or witness result holds for its input."""
+    from glnz.cli import parse_matrix_document
+    from glnz.exactmat import element_order
+    from glnz.involution import canonical_block, is_involution, profile
+
+    M = parse_matrix_document(json.loads(text))
+    out = json.loads(stdout)
+    if argv[0] == "canon":
+        U = parse_matrix_document(out["U"])
+        ok = abs(U.det()) == 1 and M * U == U * canonical_block(*out["profile"])
+    else:
+        W = parse_matrix_document(out["witness"])
+        product = parse_matrix_document(out["product"])
+        ok = is_involution(W) and profile(W) == profile(M) and product == M * W
+        if argv[1] == "--order3":
+            ok = ok and element_order(product, 3) == 3
+        else:
+            ok = ok and profile(product) == profile(canonical_block(M.n - 4, 4, 0))
+    return f"check {'ok' if ok else 'FAILED'}"
+
+
+def run_cli(argv: list, text: str = "") -> tuple[int, str, str]:
+    from glnz import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, stdout.getvalue().strip(), stderr.getvalue().strip()
+
+
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__).parse_args()
+    from glnz.verify import run_suite
+
+    configs = smoke_configs()
+    for seed in SEEDS:
+        for suite, n, trials in configs:
+            report = run_suite(suite, n, trials, seed).to_jsonable()
+            report.pop("elapsed_ms")
+            print(f"suite {suite} n={n} trials={trials} seed={seed} "
+                  f"{json.dumps(report, sort_keys=True)}")
+
+    commands = (["classify"], ["canon"], ["factor"], ["lift", "--mod2"],
+                ["witness", "--order3"], ["witness", "--four"],
+                ["gamma", "--m", "2"], ["gamma", "--m", "3"])
+    for name, text in documents():
+        for argv in commands:
+            code, out, err = run_cli(argv, text)
+            print(f"cli {' '.join(argv)} {name} exit={code} stdout={out} stderr={err}")
+            if code == 0 and argv[0] in ("canon", "witness"):
+                print(f"cli {' '.join(argv)} {name} {check(argv, text, out)}")
+    fixed = [["identities"], ["lift", "--row", "3", "4"], ["lift", "--row", "2", "4"]]
+    fixed += [["verify", "--suite", s, "--n", str(n), "--trials", str(t), "--seed", "9"]
+              for s, n, t in configs]
+    for argv in fixed:
+        code, out, err = run_cli(argv)
+        if argv[0] == "verify" and code in (0, 4, 5):
+            report = json.loads(out)
+            report.pop("elapsed_ms")
+            out = json.dumps(report, sort_keys=True)
+        print(f"cli {' '.join(argv)} exit={code} stdout={out} stderr={err}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

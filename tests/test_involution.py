@@ -114,6 +114,19 @@ class TestCanonicalForm:
             assert summand_index(plus, minus) == 2**prof.p
         assert prof.diagonalizable == (prof.p == 0)
 
+    def test_canonical_blocks_map_to_the_identity(self):
+        # a block already in canonical form needs no change of basis, and a
+        # diagonalizable one keeps the kernel bases of its eigen lattices
+        for n in range(1, 11):
+            for p in range(n // 2 + 1):
+                for a in range(n - 2 * p + 1):
+                    B = canonical_block(a, n - 2 * p - a, p)
+                    cb = canonical_form(B)
+                    assert cb.U.is_identity(), (a, n - 2 * p - a, p)
+                    if p == 0:
+                        plus, minus = eigen_lattices(B)
+                        assert cb.U == IntMatrix.from_columns(plus.basis + minus.basis)
+
 
 class TestClassify:
     def test_extremal(self):
