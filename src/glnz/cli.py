@@ -191,27 +191,18 @@ def cmd_witness(args) -> int:
     M = _read_document(args.file)
     if args.order3:
         witness = involution.order3_witness(M)
-        product = M * witness
-        _emit(
-            {
-                "mode": "order3",
-                "witness": matrix_payload(witness),
-                "product": matrix_payload(product),
-                "product_order": 3,
-            }
-        )
+        mode, claim = "order3", {"product_order": 3}
     else:
         witness = involution.four_involution_witness(M)
-        product = M * witness
-        _emit(
-            {
-                "mode": "four",
-                "witness": matrix_payload(witness),
-                "product": matrix_payload(product),
-                "product_kind": involution.GAMMA_INVOLUTION,
-                "product_gamma": 4,
-            }
-        )
+        mode, claim = "four", {"product_kind": involution.GAMMA_INVOLUTION, "product_gamma": 4}
+    _emit(
+        {
+            "mode": mode,
+            "witness": matrix_payload(witness),
+            "product": matrix_payload(M * witness),
+            **claim,
+        }
+    )
     return 0
 
 

@@ -325,11 +325,17 @@ class Lattice:
         return Lattice(self.ambient_rank, tuple(sat))
 
     def is_saturated(self) -> bool:
-        if self.rank == 0:
-            return True
-        k = self.rank
-        H, _, r = row_hermite(list(zip(*self.basis)))
-        return r == k and all(H[i][j] == (i == j) for i in range(k) for j in range(k))
+        return _unimodular_frame(self.basis, self.ambient_rank) is not None
+
+
+def _unimodular_frame(cols: Sequence[Vector], n: int) -> list[list[int]] | None:
+    """Unimodular U with U B = [I_k; 0], B being the n x k matrix with the
+    given columns; None unless they span a saturated rank-k lattice."""
+    k = len(cols)
+    H, U, r = row_hermite([[c[i] for c in cols] for i in range(n)], transform=True)
+    if r != k or any(H[i][j] != (i == j) for i in range(k) for j in range(k)):
+        return None
+    return U
 
 
 def _kernel_vectors(rows: Sequence[Sequence[int]]) -> list[Vector]:
@@ -376,8 +382,16 @@ def content_and_primitive(v: Sequence[int]) -> tuple[int, Vector]:
 
 def rank_mod2(M: IntMatrix) -> int:
     """Rank of M over GF(2)."""
+    return len(_mod2_pivots(M.rows))
+
+
+def _mod2_pivots(vectors: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
+    """One GF(2) echelon pass: (index, pivot) of each vector independent
+    mod 2 of those before it, the pivot being the highest coordinate of its
+    reduced form.  Restricted to their pivots, these vectors are invertible."""
     pivots: dict[int, int] = {}
-    for row in M.rows:
+    kept = []
+    for idx, row in enumerate(vectors):
         v = 0
         for j, x in enumerate(row):
             if x & 1:
@@ -388,8 +402,9 @@ def rank_mod2(M: IntMatrix) -> int:
                 v ^= pivots[h]
             else:
                 pivots[h] = v
+                kept.append((idx, h))
                 break
-    return len(pivots)
+    return kept
 
 
 def rational_rank(M: IntMatrix) -> int:
@@ -497,18 +512,25 @@ def _shear_columns(cols: list[list[int]], i: int, j: int, c: int) -> None:
 def restriction_matrix(M: IntMatrix, L: Lattice) -> IntMatrix:
     """Matrix of M restricted to the M-invariant saturated lattice L,
     written in L's stored basis."""
-    k = L.rank
-    if k == 0:
+    if L.rank == 0:
         raise ValueError("cannot restrict to the zero lattice")
-    n = L.ambient_rank
-    B = [[L.basis[j][i] for j in range(k)] for i in range(n)]
-    H, U, r = row_hermite(B, transform=True)
-    if r != k or any(H[i][j] != (i == j) for i in range(k) for j in range(k)):
-        raise ValueError("lattice is not saturated")
-    Y = _matmul(U, _matmul(M.rows, B))
-    if any(Y[i][j] for i in range(k, n) for j in range(k)):
+    Y = _coordinates(L, _matmul(M.rows, list(zip(*L.basis))))
+    if Y is None:
         raise ValueError("lattice is not invariant under the matrix")
-    return _trusted(Y[:k])
+    return _trusted(Y)
+
+
+def _coordinates(L: Lattice, X: Sequence[Sequence[int]]) -> tuple[Vector, ...] | None:
+    """Coordinates in L's stored basis of the columns of the n-row matrix
+    X, as a matrix with one row per basis vector; None when a column lies
+    outside L.  L must be saturated."""
+    U = _unimodular_frame(L.basis, L.ambient_rank)
+    if U is None:
+        raise ValueError("lattice is not saturated")
+    Y = _matmul(U, X)
+    if any(any(row) for row in Y[L.rank :]):
+        return None
+    return Y[: L.rank]
 
 
 def basis_completion(cols: Sequence[Sequence[int]]) -> IntMatrix:
@@ -524,11 +546,8 @@ def _basis_completion_pair(cols: Sequence[Sequence[int]]) -> tuple[IntMatrix, In
     cols = [_vec(c) for c in cols]
     if not cols:
         raise ValueError("nothing to complete")
-    n = len(cols[0])
-    k = len(cols)
-    B = [[cols[j][i] for j in range(k)] for i in range(n)]
-    H, U, r = row_hermite(B, transform=True)
-    if r != k or any(H[i][j] != (i == j) for i in range(k) for j in range(k)):
+    U = _unimodular_frame(cols, len(cols[0]))
+    if U is None:
         raise ValueError("columns do not span a saturated lattice")
     V_inv = _trusted(tuple(map(tuple, U)))
     return V_inv.inverse(), V_inv

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .congruence import lift_mod2
 from .exactmat import (
     IntMatrix,
     Lattice,
     Vector,
+    _coordinates,
+    _matmul,
+    _mod2_pivots,
     element_order,
     kernel_lattice,
     rank_mod2,
     rational_rank,
-    restriction_matrix,
-    row_hermite,
 )
 
 CENTRAL = "central"
@@ -115,7 +117,15 @@ class CanonicalBasis:
 
     U: IntMatrix
     profile: InvolutionProfile
-    layout: BlockLayout
+
+    @property
+    def layout(self) -> BlockLayout:
+        a, b, p = self.profile.a, self.profile.b, self.profile.p
+        return BlockLayout(
+            fixed=(0, a),
+            negated=(a, a + b),
+            pairs=tuple((a + b + 2 * t, a + b + 2 * t + 2) for t in range(p)),
+        )
 
     def block_matrix(self) -> IntMatrix:
         return canonical_block(self.profile.a, self.profile.b, self.profile.p)
@@ -181,85 +191,56 @@ def involutions_conjugate(P: IntMatrix, Q: IntMatrix) -> bool:
     return profile(P) == profile(Q)
 
 
-def _decompose(Q: IntMatrix) -> tuple[list[Vector], list[Vector], list[tuple[Vector, Vector]]]:
-    """Split Z^k under the involution Q into fixed vectors, negated vectors
-    and swap pairs, all expressed in Q's coordinates.
+def _lifted_basis(L: Lattice, residues: list[Vector]) -> tuple[list[Vector], list[Vector]]:
+    """A basis of L split into vectors congruent mod 2L to the given
+    coordinate vectors, in order, and the rest.
 
-    Swap pairs are peeled off one at a time: a vector v with (Q - I)v odd
-    spans, together with Qv, a rank-2 invariant sublattice; inside its
-    saturation the midpoint of the two eigen-generators gives a pair
-    (w, Qw) spanning a direct summand on which Q is the swap.  An
-    equivariant projection onto that summand yields an invariant
-    complement to recurse on.
+    Each residue sits at its echelon pivot column of a GF(2) matrix that
+    is the identity elsewhere; that matrix is invertible, and its lift to
+    SL(k, Z) is the change of basis.
     """
-    k = Q.n
-    diff = Q.shifted(-1)
-    odd_col = next(
-        (j for j in range(k) if any(diff.rows[i][j] % 2 for i in range(k))), None
-    )
-    if odd_col is None:
-        plus = kernel_lattice(diff)
-        minus = kernel_lattice(Q.shifted(1))
-        return list(plus.basis), list(minus.basis), []
-
-    v = tuple(int(i == odd_col) for i in range(k))
-    S = Lattice(k, (v, Q.column(odd_col))).saturate()
-    Qs = restriction_matrix(Q, S)
-    (up,) = kernel_lattice(Qs.shifted(-1)).basis
-    (um,) = kernel_lattice(Qs.shifted(1)).basis
-    if any((x + y) % 2 for x, y in zip(up, um)):
-        raise RuntimeError("swap-pair extraction failed")
-    w2 = tuple((x + y) // 2 for x, y in zip(up, um))
-    b0, b1 = S.basis
-    w = tuple(b0[i] * w2[0] + b1[i] * w2[1] for i in range(k))
-    qw = Q.apply(w)
-
-    pair_cols = [[w[i], qw[i]] for i in range(k)]
-    H, Uw, r = row_hermite(pair_cols, transform=True)
-    if r != 2 or any(H[i][j] != (i == j) for i in range(2) for j in range(2)):
-        raise RuntimeError("extracted pair does not span a summand")
-    alpha = Uw[0]
-    alpha_q = [sum(alpha[i] * Q.rows[i][j] for i in range(k)) for j in range(k)]
-    proj = IntMatrix(
-        tuple(
-            tuple(w[i] * alpha[j] + qw[i] * alpha_q[j] for j in range(k))
-            for i in range(k)
-        )
-    )
-    W = kernel_lattice(proj)
-    if W.rank != k - 2:
-        raise RuntimeError("invariant complement has wrong rank")
-    if k == 2:
-        return [], [], [(w, qw)]
-    Qr = restriction_matrix(Q, W)
-    fixed, negated, pairs = _decompose(Qr)
-    B = W.basis
-
-    def lift(x: Vector) -> Vector:
-        return tuple(sum(B[t][i] * x[t] for t in range(len(B))) for i in range(k))
-
-    return (
-        [lift(x) for x in fixed],
-        [lift(x) for x in negated],
-        [(w, qw)] + [(lift(x), lift(y)) for x, y in pairs],
-    )
+    placed = _mod2_pivots(residues)
+    if len(placed) != len(residues):
+        raise RuntimeError("swap-pair residues are dependent mod 2")
+    if not placed:
+        return [], list(L.basis)
+    k = L.rank
+    cols = [[int(s == t) for s in range(k)] for t in range(k)]
+    for i, pivot in placed:
+        cols[pivot] = [x % 2 for x in residues[i]]
+    new = _matmul(lift_mod2(list(zip(*cols))).transpose().rows, L.basis)
+    pivots = [pivot for _, pivot in placed]
+    return [new[t] for t in pivots], [v for t, v in enumerate(new) if t not in pivots]
 
 
 def canonical_form(P: IntMatrix) -> CanonicalBasis:
     """Canonical basis for an involution: U unimodular with U^-1 P U equal
-    to diag(I_a, -I_b, p swap blocks)."""
-    _demand_involution(P)
-    fixed, negated, pairs = _decompose(P)
-    cols = fixed + negated + [v for pair in pairs for v in pair]
+    to diag(I_a, -I_b, p swap blocks).
+
+    One pass over the eigen lattices L+ and L- (Reiner's classification of
+    Z[C2]-lattices): Z^n / (L+ + L-) is (Z/2)^p, and it embeds into L+/2L+
+    by v -> (I + P)v and into L-/2L- by v -> (I - P)v.  Columns j whose L+
+    residues are independent mod 2 give bases y_i, f.. of L+ and z_i, h..
+    of L- with y_i = (I + P)e_j and z_i = (I - P)e_j mod 2; so
+    x_i = (y_i + z_i)/2 is integral, P x_i = (y_i - z_i)/2, and
+    U = [f.., h.., x_i, P x_i ..].
+    """
+    plus, minus = eigen_lattices(P)
+    res_plus = _coordinates(plus, P.shifted(1).rows)
+    res_minus = _coordinates(minus, P.shifted(-1).rows)  # = I - P mod 2
+    if res_plus is None or res_minus is None:
+        raise RuntimeError("I + P and I - P do not map into the eigen lattices")
+    res_plus, res_minus = list(zip(*res_plus)), list(zip(*res_minus))
+    picks = [j for j, _ in _mod2_pivots(res_plus)]
+    ys, fixed = _lifted_basis(plus, [res_plus[j] for j in picks])
+    zs, negated = _lifted_basis(minus, [res_minus[j] for j in picks])
+    cols = fixed + negated
+    for y, z in zip(ys, zs):
+        cols.append(tuple((s + t) // 2 for s, t in zip(y, z)))
+        cols.append(tuple((s - t) // 2 for s, t in zip(y, z)))
     U = IntMatrix.from_columns(cols)
-    a, b, p = len(fixed), len(negated), len(pairs)
-    prof = InvolutionProfile(a, b, p)
-    layout = BlockLayout(
-        fixed=(0, a),
-        negated=(a, a + b),
-        pairs=tuple((a + b + 2 * t, a + b + 2 * t + 2) for t in range(p)),
-    )
-    result = CanonicalBasis(U=U, profile=prof, layout=layout)
+    p = len(picks)
+    result = CanonicalBasis(U=U, profile=InvolutionProfile(plus.rank - p, minus.rank - p, p))
     # with |det U| = 1, P U = U B is the same as U^-1 P U = B
     if abs(U.det()) != 1 or P * U != U * result.block_matrix():
         raise RuntimeError("canonical basis postcondition violated")
