@@ -320,6 +320,20 @@ class TestLiftMod2:
         with pytest.raises(ValueError, match="singular"):
             lift_mod2([[1, 1], [1, 1]])
 
+    def test_exhaustive_singularity_up_to_rank_3(self):
+        # singularity over GF(2) read off the integer determinant, not
+        # from the GF(2) eliminators under test
+        for n in (1, 2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                rows = [list(bits[i * n : (i + 1) * n]) for i in range(n)]
+                if IntMatrix(tuple(map(tuple, rows))).det() % 2 == 0:
+                    with pytest.raises(ValueError, match="singular"):
+                        lift_mod2(rows)
+                else:
+                    M = lift_mod2(rows)
+                    assert M.det() == 1
+                    assert [[x % 2 for x in r] for r in M.rows] == rows
+
     def test_random_large(self):
         rng = random.Random(15)
         for _ in range(50):

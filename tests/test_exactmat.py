@@ -300,6 +300,27 @@ class TestSaturationAndRestriction:
         with pytest.raises(ValueError, match="invariant"):
             restriction_matrix(swap, Lattice(2, ((1, 0),)))
 
+    def test_restriction_requires_saturation(self):
+        # the line through (2, 2) is swap-invariant but not saturated
+        swap = IntMatrix(((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="saturated"):
+            restriction_matrix(swap, Lattice(2, ((2, 2),)))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_contains_matches_span_equality(self, data):
+        cols = data.draw(columns_strategy())
+        n = len(cols[0])
+        L = Lattice(n, tuple(map(tuple, cols)))
+        coeffs = data.draw(st.lists(small_entries, min_size=len(cols), max_size=len(cols)))
+        member = tuple(sum(c * v[i] for c, v in zip(coeffs, cols)) for i in range(n))
+        j = data.draw(st.integers(0, n - 1))
+        shifted = tuple(x + (i == j) for i, x in enumerate(member))
+        other = tuple(data.draw(st.lists(small_entries, min_size=n, max_size=n)))
+        assert L.contains(member)
+        for x in (member, shifted, other):
+            assert L.contains(x) == (Lattice(n, L.basis + (x,)) == L), x
+
     def test_basis_completion(self):
         rng = random.Random(11)
         for _ in range(30):

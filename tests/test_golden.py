@@ -2,8 +2,10 @@
 
 ``test_verify`` replays each suite twice in one process, which cannot see
 a change in the kernel that alters what a seed samples.  These tests
-compare against ``golden_reports.json``, written by running this file as
-a script:
+compare against ``golden_reports.json``: the seeded suite reports, the
+``random_unimodular`` words, the shear triples of
+``elementary_factorization`` and the ``U`` of ``canonical_form`` on seeded
+conjugates.  The file is written by running this file as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from glnz.exactmat import random_unimodular
+from glnz.congruence import elementary_factorization
+from glnz.exactmat import random_elementary_word, random_unimodular
+from glnz.involution import canonical_block, canonical_form
 from glnz.verify import run_suite
 
 from test_verify import SMOKE, report_key
@@ -26,6 +30,16 @@ UNIMODULAR_GRID = [
     for word_length in (0, 1, 5, 12)
     for entry_bound in (1, 4)
     for seed in (0, 7)
+]
+# (n, word_length, entry_bound, seed) of determinant-1 shear words
+FACTOR_GRID = [(2 + k % 5, 3 + k % 7, 1 + k % 4, 100 + k) for k in range(40)]
+# (a, b, p, seed): every involution shape with n <= 6, conjugated twice
+CANON_GRID = [
+    (a, n - a - 2 * p, p, seed)
+    for n in range(1, 7)
+    for p in range(n // 2 + 1)
+    for a in range(n - 2 * p + 1)
+    for seed in (3, 41)
 ]
 
 
@@ -42,6 +56,18 @@ def _suite_reports() -> dict:
 
 def _unimodular_rows(args) -> list:
     return [list(r) for r in random_unimodular(*args).rows]
+
+
+def _factor_triples(args) -> list:
+    factors = elementary_factorization(random_elementary_word(*args)).factors
+    return [[f.i, f.j, f.c] for f in factors]
+
+
+def _canonical_U_rows(args) -> list:
+    a, b, p, seed = args
+    U = random_unimodular(a + b + 2 * p, 8, 3, seed)
+    P = U * canonical_block(a, b, p) * U.inverse()
+    return [list(r) for r in canonical_form(P).U.rows]
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +89,27 @@ def test_random_unimodular_matches_golden(golden):
         assert _unimodular_rows(args) == expected[_key(args)], args
 
 
+def test_elementary_factorization_matches_golden(golden):
+    expected = golden["elementary_factorization"]
+    assert sorted(expected) == sorted(_key(args) for args in FACTOR_GRID)
+    for args in FACTOR_GRID:
+        assert _factor_triples(args) == expected[_key(args)], args
+
+
+def test_canonical_form_matches_golden(golden):
+    expected = golden["canonical_form_U"]
+    assert sorted(expected) == sorted(_key(args) for args in CANON_GRID)
+    for args in CANON_GRID:
+        assert _canonical_U_rows(args) == expected[_key(args)], args
+
+
 if __name__ == "__main__":
     doc = {
         "suite_seed": SUITE_SEED,
         "suites": _suite_reports(),
         "random_unimodular": {_key(a): _unimodular_rows(a) for a in UNIMODULAR_GRID},
+        "elementary_factorization": {_key(a): _factor_triples(a) for a in FACTOR_GRID},
+        "canonical_form_U": {_key(a): _canonical_U_rows(a) for a in CANON_GRID},
     }
     # one line per pinned value, so a changed value shows as one changed line
     sections = []
