@@ -9,16 +9,6 @@ rank.  No bound is asserted anywhere, the numbers are just reported.
 import argparse
 import random
 import sys
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    samples: int = 500
-    max_rank: int = 5
-    max_word: int = 30
-    entry_bound: int = 3
-    seed: int = 20250810
 
 
 def main() -> int:
@@ -29,21 +19,18 @@ def main() -> int:
     parser.add_argument("--entry-bound", type=int, default=3)
     parser.add_argument("--seed", type=int, default=20250810)
     args = parser.parse_args()
-    cfg = ExperimentConfig(
-        args.samples, args.max_rank, args.max_word, args.entry_bound, args.seed
-    )
 
     from glnz.congruence import elementary_factorization, factor_mod2_classes
     from glnz.exactmat import random_elementary_word
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     by_rank: dict[int, list[int]] = {}
     even_factors = 0
     total_factors = 0
-    for _ in range(cfg.samples):
-        n = rng.randint(2, cfg.max_rank)
-        word = rng.randint(1, cfg.max_word)
-        M = random_elementary_word(n, word, cfg.entry_bound, rng.randrange(1 << 30))
+    for _ in range(args.samples):
+        n = rng.randint(2, args.max_rank)
+        word = rng.randint(1, args.max_word)
+        M = random_elementary_word(n, word, args.entry_bound, rng.randrange(1 << 30))
         factorization = elementary_factorization(M)
         if factorization.product() != M:
             print("round trip failed", file=sys.stderr)
@@ -53,8 +40,8 @@ def main() -> int:
         even_factors += sum(c.trivial_mod2 for c in classes)
         total_factors += len(classes)
 
-    print(f"{cfg.samples} samples, word length <= {cfg.max_word}, "
-          f"entries <= {cfg.entry_bound}")
+    print(f"{args.samples} samples, word length <= {args.max_word}, "
+          f"entries <= {args.entry_bound}")
     print(f"{'rank':>4s} {'count':>6s} {'min':>5s} {'median':>7s} {'mean':>7s} {'max':>5s}")
     for n in sorted(by_rank):
         lengths = sorted(by_rank[n])

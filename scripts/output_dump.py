@@ -7,7 +7,8 @@ Two sections, one line per output:
   seeds, as the report JSON without ``elapsed_ms``;
 * the exit code, stdout and stderr of each CLI subcommand on a fixed set of
   documents: canonical blocks, diagonalizable and swap-pair (p > 0)
-  conjugates, non-involutions and a few malformed or rejected inputs.
+  conjugates, non-involutions, matrices singular mod 2 and a few malformed
+  or rejected inputs.
   Each ``canon`` and ``witness`` result that exits 0 is followed by a line
   saying whether it checks out.
 
@@ -68,6 +69,11 @@ def documents() -> list:
         out.append((f"word{n}", doc(random_elementary_word(n, 12, 3, n))))
         out.append((f"unimodular{n}", doc(random_unimodular(n, 12, 3, n))))
     out.append(("singular", doc(IntMatrix.diagonal((2, 1)))))
+    # singular over GF(2), found at the first, a middle and the last column
+    # of the mod-2 reduction
+    out.append(("mod2-singular-first", doc(IntMatrix(((2, 1, 0), (4, 3, 0), (0, 0, 1))))))
+    out.append(("mod2-singular-middle", doc(IntMatrix(((1, 3, 0), (0, 2, 1), (2, 4, -1))))))
+    out.append(("mod2-singular-last", doc(IntMatrix(((1, 0, 1), (0, 1, 1), (2, 2, 4))))))
     out.append(("not-json", "{"))
     out.append(("ragged", '{"n": 2, "rows": [[1, 0], [0]]}'))
     return out

@@ -92,10 +92,11 @@ def _kind_payload(kind: involution.InvolutionKind) -> dict:
 
 def cmd_classify(args) -> int:
     M = _read_document(args.file)
-    if not M.is_automorphism:
+    det = M.det()
+    if abs(det) != 1:
         print("input is not an automorphism of Z^n", file=sys.stderr)
         return 3
-    report: dict = {"n": M.n, "det": _encode_int(M.det())}
+    report: dict = {"n": M.n, "det": _encode_int(det)}
     if involution.is_involution(M):
         prof = involution.profile(M)
         report["is_involution"] = True

@@ -5,10 +5,11 @@ involutions, commutator identities, and mod-2 lifting.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .exactmat import IntMatrix, _shear_word, rank_mod2
+from .exactmat import IntMatrix, _euclid_column, _shear_word
 
 __all__ = [
     "CommutatorReport",
@@ -61,7 +62,7 @@ class Factorization:
 def in_gamma(M: IntMatrix, m: int) -> bool:
     """Membership in the principal congruence subgroup of level m:
     matrices acting trivially on (Z/m)^n, i.e. congruent to I mod m."""
-    if m < 2:
+    if operator.index(m) < 2:
         raise ValueError("level must be at least 2")
     if not M.is_automorphism:
         raise ValueError("matrix is not an automorphism of Z^n")
@@ -93,18 +94,9 @@ def elementary_factorization(M: IntMatrix) -> Factorization:
             ops.append((i, j, c))
 
     for col in range(n):
-        while True:
-            live = [i for i in range(col, n) if A[i][col]]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: (abs(A[i][col]), i))
-            base = live[0]
-            for i in live[1:]:
-                rowop(i, base, -(A[i][col] // A[base][col]))
-        live = [i for i in range(col, n) if A[i][col]]
-        if len(live) != 1 or abs(A[live[0]][col]) != 1:
+        i0 = _euclid_column(A, col, col, lambda i, j, q: rowop(i, j, -q))
+        if i0 is None or abs(A[i0][col]) != 1:
             raise RuntimeError("pivot reduction failed")
-        i0 = live[0]
         if A[i0][col] == -1:
             if col == n - 1:
                 raise RuntimeError("trailing pivot cannot be -1 for determinant 1")
@@ -115,7 +107,6 @@ def elementary_factorization(M: IntMatrix) -> Factorization:
             i0 = next(i for i in range(col, n) if A[i][col] == 1)
         if i0 != col:
             rowop(col, i0, 1)
-            i0 = col
         for i in range(n):
             if i != col and A[i][col]:
                 rowop(i, col, -A[i][col])
@@ -277,7 +268,7 @@ def lift_row_to_sl3(a: int, c: int) -> IntMatrix:
     Determinant 1 forces d odd; b is made even by shifting along the
     solution line, and d is normalized into [1, 2|c|] when c != 0.
     """
-    a, c = int(a), int(c)
+    a, c = operator.index(a), operator.index(c)
     if a % 2 == 0:
         raise ValueError("first entry must be odd")
     if c % 2:
@@ -310,16 +301,16 @@ def lift_mod2(rows) -> IntMatrix:
 
     The mod-2 matrix is reduced to the identity by row additions only (a
     swap over GF(2) is three additions); each addition lifts to the unit
-    shear, and the reversed product is the lift.
+    shear, and the reversed product is the lift.  The reduction decides
+    singularity: at each column the earlier ones are unit vectors, so the
+    matrix is singular exactly when no row from the diagonal down has a 1.
     """
     if isinstance(rows, IntMatrix):
         rows = rows.rows
-    A = [[int(x) % 2 for x in r] for r in rows]
+    A = [[operator.index(x) % 2 for x in r] for r in rows]
     n = len(A)
     if n == 0 or any(len(r) != n for r in A):
         raise ValueError("matrix must be square and non-empty")
-    if rank_mod2(IntMatrix(tuple(tuple(r) for r in A))) != n:
-        raise ValueError("matrix is singular over GF(2)")
     target = tuple(tuple(r) for r in A)
     ops: list[tuple[int, int]] = []
 
@@ -329,9 +320,9 @@ def lift_mod2(rows) -> IntMatrix:
 
     for col in range(n):
         if A[col][col] == 0:
-            # invertibility puts a 1 below the diagonal once earlier
-            # columns are reduced to unit vectors
-            pivot = next(i for i in range(col + 1, n) if A[i][col])
+            pivot = next((i for i in range(col + 1, n) if A[i][col]), None)
+            if pivot is None:
+                raise ValueError("matrix is singular over GF(2)")
             add_row(col, pivot)
         for i in range(n):
             if i != col and A[i][col]:

@@ -61,18 +61,9 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
 
     r = 0
     for col in range(ncols):
-        while True:
-            live = [i for i in range(r, m) if H[i][col]]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda i: (abs(H[i][col]), i))
-            base = live[0]
-            for i in live[1:]:
-                axpy(i, base, H[i][col] // H[base][col])
-        live = [i for i in range(r, m) if H[i][col]]
-        if not live:
+        i0 = _euclid_column(H, col, r, axpy)
+        if i0 is None:
             continue
-        i0 = live[0]
         if i0 != r:
             H[r], H[i0] = H[i0], H[r]
             if U is not None:
@@ -90,6 +81,20 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
         if r == m:
             break
     return H, U, r
+
+
+def _euclid_column(A: list[list[int]], col: int, start: int, axpy) -> int | None:
+    """Euclid on column col of rows start.. of A: reduce by the least |entry|
+    (lowest index on ties) with ``axpy(dst, src, q)``, dst -= q * src, until
+    one row is nonzero there.  Returns that row, or None if none is."""
+    while True:
+        live = [i for i in range(start, len(A)) if A[i][col]]
+        if len(live) <= 1:
+            return live[0] if live else None
+        live.sort(key=lambda i: (abs(A[i][col]), i))
+        base = live[0]
+        for i in live[1:]:
+            axpy(i, base, A[i][col] // A[base][col])
 
 
 def _matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
@@ -262,8 +267,8 @@ class IntMatrix:
 
     def inverse(self) -> "IntMatrix":
         """Exact inverse; defined only for matrices with determinant +-1."""
-        H, U, _ = row_hermite(self.rows, transform=True)
-        if any(H[i][j] != (i == j) for i in range(self.n) for j in range(self.n)):
+        U = _unimodular_frame(self.columns(), self.n)
+        if U is None:
             raise ValueError("matrix is not invertible over the integers")
         return _trusted(tuple(map(tuple, U)))
 
@@ -300,17 +305,10 @@ class Lattice:
         return len(self.basis)
 
     def contains(self, v: Sequence[int]) -> bool:
-        x = list(_vec(v))
+        x = _vec(v)
         if len(x) != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        for b in self.basis:
-            piv = next(i for i, e in enumerate(b) if e)
-            q, rem = divmod(x[piv], b[piv])
-            if rem:
-                return False
-            if q:
-                x = [a - q * e for a, e in zip(x, b)]
-        return not any(x)
+        return _coordinates(self, (x,)) is not None
 
     __contains__ = contains
 
@@ -514,23 +512,34 @@ def restriction_matrix(M: IntMatrix, L: Lattice) -> IntMatrix:
     written in L's stored basis."""
     if L.rank == 0:
         raise ValueError("cannot restrict to the zero lattice")
-    Y = _coordinates(L, _matmul(M.rows, list(zip(*L.basis))))
+    if not L.is_saturated():
+        raise ValueError("lattice is not saturated")
+    Y = _coordinates(L, [M.apply(b) for b in L.basis])
     if Y is None:
         raise ValueError("lattice is not invariant under the matrix")
-    return _trusted(Y)
+    return _trusted(tuple(zip(*Y)))
 
 
-def _coordinates(L: Lattice, X: Sequence[Sequence[int]]) -> tuple[Vector, ...] | None:
-    """Coordinates in L's stored basis of the columns of the n-row matrix
-    X, as a matrix with one row per basis vector; None when a column lies
-    outside L.  L must be saturated."""
-    U = _unimodular_frame(L.basis, L.ambient_rank)
-    if U is None:
-        raise ValueError("lattice is not saturated")
-    Y = _matmul(U, X)
-    if any(any(row) for row in Y[L.rank :]):
-        return None
-    return Y[: L.rank]
+def _coordinates(L: Lattice, vectors: Iterable[Vector]) -> list[Vector] | None:
+    """Coordinates in L's stored basis of each integer vector, or None when
+    one lies outside L (saturated or not): back-substitution along the
+    Hermite pivots, each coefficient forced by its pivot entry; a vector is
+    in L exactly when every division is exact and nothing is left over."""
+    pivots = [next(i for i, e in enumerate(b) if e) for b in L.basis]
+    out = []
+    for x in vectors:
+        coords = []
+        for b, piv in zip(L.basis, pivots):
+            q, rem = divmod(x[piv], b[piv])
+            if rem:
+                return None
+            if q:
+                x = [a - q * e for a, e in zip(x, b)]
+            coords.append(q)
+        if any(x):
+            return None
+        out.append(tuple(coords))
+    return out
 
 
 def basis_completion(cols: Sequence[Sequence[int]]) -> IntMatrix:

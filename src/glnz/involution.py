@@ -226,11 +226,10 @@ def canonical_form(P: IntMatrix) -> CanonicalBasis:
     U = [f.., h.., x_i, P x_i ..].
     """
     plus, minus = eigen_lattices(P)
-    res_plus = _coordinates(plus, P.shifted(1).rows)
-    res_minus = _coordinates(minus, P.shifted(-1).rows)  # = I - P mod 2
+    res_plus = _coordinates(plus, P.shifted(1).columns())
+    res_minus = _coordinates(minus, P.shifted(-1).columns())  # = I - P mod 2
     if res_plus is None or res_minus is None:
         raise RuntimeError("I + P and I - P do not map into the eigen lattices")
-    res_plus, res_minus = list(zip(*res_plus)), list(zip(*res_minus))
     picks = [j for j, _ in _mod2_pivots(res_plus)]
     ys, fixed = _lifted_basis(plus, [res_plus[j] for j in picks])
     zs, negated = _lifted_basis(minus, [res_minus[j] for j in picks])
@@ -330,9 +329,9 @@ def involution_from_splitting(
     """The diagonalizable involution fixing the span of plus_cols and
     negating the span of minus_cols; the columns together must be a basis
     of Z^n."""
-    cols = list(plus_cols) + list(minus_cols)
-    V = IntMatrix.from_columns(cols)
-    if abs(V.det()) != 1:
-        raise ValueError("columns do not split Z^n")
+    V = IntMatrix.from_columns(list(plus_cols) + list(minus_cols))
     D = IntMatrix.diagonal([1] * len(plus_cols) + [-1] * len(minus_cols))
-    return V * D * V.inverse()
+    try:
+        return V * D * V.inverse()  # the inverse certifies |det V| = 1
+    except ValueError:
+        raise ValueError("columns do not split Z^n") from None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmat import IntMatrix, Lattice, Vector, content_and_primitive
+from .exactmat import IntMatrix, Lattice, Vector, _vec, content_and_primitive
 from .involution import EXTREMAL, classify, eigen_lattices
 
 __all__ = [
@@ -40,8 +40,7 @@ class TransvectionData:
 
 def make_transvection(delta, x) -> IntMatrix:
     """The automorphism a -> a + delta(a) x, as a matrix I + x (x) delta."""
-    delta = tuple(int(d) for d in delta)
-    x = tuple(int(e) for e in x)
+    delta, x = _vec(delta), _vec(x)
     n = len(x)
     if len(delta) != n:
         raise ValueError("dimension mismatch")

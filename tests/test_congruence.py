@@ -33,6 +33,14 @@ class TestInGamma:
         with pytest.raises(ValueError):
             in_gamma(IntMatrix(((2, 0), (0, 1))), 2)
 
+    def test_level_must_be_integral(self):
+        with pytest.raises(TypeError):
+            in_gamma(IntMatrix.identity(2), 2.5)
+        with pytest.raises(TypeError):
+            in_gamma(IntMatrix.identity(2), 2.0)
+        with pytest.raises(ValueError, match="level"):
+            in_gamma(IntMatrix.identity(2), True)
+
     def test_subgroup_closure_under_sampling(self):
         rng = random.Random(31)
         members = []
@@ -290,6 +298,14 @@ class TestLiftRow:
         with pytest.raises(ValueError, match="coprime"):
             lift_row_to_sl3(3, 6)
 
+    def test_float_entries_rejected(self):
+        # int() would truncate 3.5 to 3 and return the lift of (3, 2)
+        with pytest.raises(TypeError):
+            lift_row_to_sl3(3.5, 2)
+        with pytest.raises(TypeError):
+            lift_row_to_sl3(3, 2.0)
+        assert lift_row_to_sl3(True, False).is_identity()
+
 
 def _all_invertible_mod2(n):
     for bits in itertools.product((0, 1), repeat=n * n):
@@ -319,6 +335,13 @@ class TestLiftMod2:
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="singular"):
             lift_mod2([[1, 1], [1, 1]])
+
+    def test_float_entries_rejected(self):
+        with pytest.raises(TypeError):
+            lift_mod2([[1.0, 0], [0, 1]])
+        with pytest.raises(TypeError):
+            lift_mod2([[1, 0.5], [0, 1]])
+        assert lift_mod2([[True, False], [False, True]]).is_identity()
 
     def test_exhaustive_singularity_up_to_rank_3(self):
         # singularity over GF(2) read off the integer determinant, not

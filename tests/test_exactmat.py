@@ -232,8 +232,10 @@ class TestMatrixBasics:
             assert (U.inverse() * U).is_identity()
 
     def test_inverse_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not invertible"):
             IntMatrix(((2, 0), (0, 1))).inverse()
+        with pytest.raises(ValueError, match="not invertible"):
+            IntMatrix(((1, 2), (2, 4))).inverse()
 
     def test_det_matches_permanent_expansion(self):
         rng = random.Random(3)

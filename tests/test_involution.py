@@ -307,8 +307,10 @@ class TestInvolutionFromSplitting:
         assert minus == Lattice(3, ((1, 2, 0),))
 
     def test_rejects_non_basis(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="do not split"):
             involution_from_splitting([(1, 0), (0, 2)], [])
+        with pytest.raises(ValueError, match="do not split"):
+            involution_from_splitting([(1, 1)], [(1, -1)])
 
 
 ALL_SHAPES = [

@@ -72,6 +72,13 @@ class TestMakeTransvection:
         with pytest.raises(ValueError, match="vanish"):
             make_transvection((1, 0), (1, 0))
 
+    def test_float_entries_rejected(self):
+        with pytest.raises(TypeError):
+            make_transvection((0, 2.5), (1, 0))
+        with pytest.raises(TypeError):
+            make_transvection((0, 1), (1.0, 0))
+        assert make_transvection((False, True), (True, False)).rows == ((1, 1), (0, 1))
+
 
 class TestRecognizeTransvection:
     def test_double_shear(self):
