@@ -330,8 +330,9 @@ def involution_from_splitting(
     negating the span of minus_cols; the columns together must be a basis
     of Z^n."""
     V = IntMatrix.from_columns(list(plus_cols) + list(minus_cols))
-    D = IntMatrix.diagonal([1] * len(plus_cols) + [-1] * len(minus_cols))
     try:
-        return V * D * V.inverse()  # the inverse certifies |det V| = 1
+        V_inv = V.inverse()  # certifies |det V| = 1
     except ValueError:
         raise ValueError("columns do not split Z^n") from None
+    D = IntMatrix.diagonal([1] * len(plus_cols) + [-1] * len(minus_cols))
+    return V * D * V_inv

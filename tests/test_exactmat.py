@@ -308,6 +308,10 @@ class TestSaturationAndRestriction:
         with pytest.raises(ValueError, match="saturated"):
             restriction_matrix(swap, Lattice(2, ((2, 2),)))
 
+    def test_restriction_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            restriction_matrix(IntMatrix.identity(3), Lattice(2, ((1, 0),)))
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_contains_matches_span_equality(self, data):
