@@ -1,4 +1,6 @@
+import io
 import json
+import random
 import subprocess
 import sys
 
@@ -13,8 +15,6 @@ SWAP_DOC = '{"n": 2, "rows": [[0, 1], [1, 0]]}'
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        import io
-
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(argv)
     captured = capsys.readouterr()
@@ -115,6 +115,46 @@ class TestClassifyCommand:
         assert doc["gamma_levels"] == [
             m for m in range(2, 13) if congruence.in_gamma(M, m)
         ]
+
+    @pytest.mark.parametrize(
+        "M,levels",
+        [
+            (IntMatrix.identity(3), list(range(2, 13))),
+            (-IntMatrix.identity(3), [2]),
+            (IntMatrix.elementary(3, 0, 1, 12), [2, 3, 4, 6, 12]),
+            # 27720 = lcm(1, ..., 12)
+            (IntMatrix.elementary(3, 0, 1, 27720 * 2**80), list(range(2, 13))),
+        ],
+        ids=["I", "-I", "I+12E01", "I+27720*2^80*E01"],
+    )
+    def test_gamma_levels_edge_cases(self, capsys, monkeypatch, M, levels):
+        code, out, _ = run_cli(
+            capsys, ["classify"], json.dumps(matrix_payload(M)), monkeypatch
+        )
+        assert code == 0
+        assert json.loads(out)["gamma_levels"] == levels
+        assert levels == [m for m in range(2, 13) if congruence.in_gamma(M, m)]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 12])
+    def test_gamma_levels_of_seeded_level_words(self, capsys, monkeypatch, m):
+        # shear words with coefficients in mZ lie in Gamma(m); at level 2 a
+        # sign change of one coordinate is also congruent to I, so det -1
+        rng = random.Random(m)
+        for trial in range(4):
+            n = rng.randint(2, 5)
+            M = IntMatrix.identity(n)
+            for _ in range(rng.randint(1, 6)):
+                i, j = rng.sample(range(n), 2)
+                M = M * IntMatrix.elementary(n, i, j, m * rng.randint(-4, 4))
+            if m == 2 and trial % 2:
+                M = M * IntMatrix.diagonal([-1] + [1] * (n - 1))
+            code, out, _ = run_cli(
+                capsys, ["classify"], json.dumps(matrix_payload(M)), monkeypatch
+            )
+            assert code == 0
+            levels = json.loads(out)["gamma_levels"]
+            assert m in levels
+            assert levels == [k for k in range(2, 13) if congruence.in_gamma(M, k)]
 
 
 class TestCanonCommand:
@@ -336,6 +376,19 @@ class TestInternalError:
         assert err == "internal error: factorization does not reproduce the input\n"
 
 
+    def test_wrong_product_exits_5_with_empty_stdout(self, capsys, monkeypatch):
+        # round_trip in the output rests on this postcondition of the library
+        monkeypatch.setattr(
+            congruence.Factorization, "product", lambda self: IntMatrix.identity(self.n)
+        )
+        code, out, err = run_cli(
+            capsys, ["factor"], '{"n":2,"rows":[[0,-1],[1,0]]}', monkeypatch
+        )
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: factorization does not reproduce the input\n"
+
+
 class TestFileInput:
     def test_file_flag(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -366,3 +419,72 @@ def test_output_bit_stable_given_inputs(capsys, monkeypatch):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+FOUR_DOC = json.dumps(matrix_payload(involution.canonical_block(3, 2, 2)))
+
+
+def fresh_process(argv, stdin_text=""):
+    proc = subprocess.run(
+        [sys.executable, "-m", "glnz.cli", *argv],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout
+
+
+def without_elapsed(argv, out):
+    if argv[0] != "verify":
+        return out
+    doc = json.loads(out)
+    doc.pop("elapsed_ms")
+    return doc
+
+
+class TestParserReuse:
+    """Many main calls in one process give what one process per call gives."""
+
+    CALLS = [
+        (["lift", "--row", "3", "2"], ""),
+        (["lift", "--mod2"], SWAP_DOC),
+        (["witness", "--order3"], SWAP_DOC),
+        (["witness", "--four"], FOUR_DOC),
+        (["gamma", "--m", "2"], '{"n":2,"rows":[[3,4],[2,3]]}'),
+        (["gamma", "--m", "3"], '{"n":2,"rows":[[3,4],[2,3]]}'),
+        (["verify", "--suite", "L1_7", "--n", "4", "--trials", "5", "--seed", "3"], ""),
+        (["verify", "--suite", "MU_SURJ", "--n", "4", "--trials", "5", "--seed", "3"], ""),
+    ]
+
+    def test_sequence_matches_fresh_processes(self, capsys, monkeypatch):
+        for argv, text in self.CALLS:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code = main(argv)
+            out = capsys.readouterr().out
+            expected_code, expected_out = fresh_process(argv, text)
+            assert code == expected_code == 0, argv
+            assert without_elapsed(argv, out) == without_elapsed(argv, expected_out), argv
+
+    def test_usage_error_then_valid_call(self, capsys, monkeypatch):
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--m" in captured.err
+        code, out, _ = run_cli(
+            capsys, ["gamma", "--m", "2"], '{"n":2,"rows":[[3,4],[2,3]]}', monkeypatch
+        )
+        assert code == 0
+        assert json.loads(out) == {"level": 2, "member": True}
+
+    @pytest.mark.parametrize("argv", [["--help"], ["gamma", "--help"]])
+    def test_help_text_is_stable(self, capsys, argv):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: glnz")
