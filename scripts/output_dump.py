@@ -7,8 +7,9 @@ Two sections, one line per output:
   seeds, as the report JSON without ``elapsed_ms``;
 * the exit code, stdout and stderr of each CLI subcommand on a fixed set of
   documents: canonical blocks, diagonalizable and swap-pair (p > 0)
-  conjugates, non-involutions, matrices singular mod 2 and a few malformed
-  or rejected inputs.
+  conjugates, non-involutions, matrices singular mod 2, gamma-level edge
+  cases and a few malformed or rejected inputs (among them integer strings
+  with "_", spaces, "+" or non-ASCII digits).
   Each ``canon`` and ``witness`` result that exits 0 is followed by a line
   saying whether it checks out.
 
@@ -74,6 +75,22 @@ def documents() -> list:
     out.append(("mod2-singular-first", doc(IntMatrix(((2, 1, 0), (4, 3, 0), (0, 0, 1))))))
     out.append(("mod2-singular-middle", doc(IntMatrix(((1, 3, 0), (0, 2, 1), (2, 4, -1))))))
     out.append(("mod2-singular-last", doc(IntMatrix(((1, 0, 1), (0, 1, 1), (2, 2, 4))))))
+    # gamma levels at the edges: every level, level 2 only, the divisors of
+    # 12, lcm(1..12) times a huge factor, and shear words built in Gamma(m)
+    edges = [("I3", IntMatrix.identity(3)), ("-I3", -IntMatrix.identity(3)),
+             ("I+12E01", IntMatrix.elementary(3, 0, 1, 12)),
+             ("I+27720*2^80*E01", IntMatrix.elementary(3, 0, 1, 27720 * 2**80))]
+    for m in (2, 3, 5, 12):
+        W = IntMatrix.identity(4)
+        for _ in range(5):
+            i, j = rng.sample(range(4), 2)
+            W = W * IntMatrix.elementary(4, i, j, m * rng.randint(-4, 4))
+        edges.append((f"gamma{m}-word", W))
+    out += [(f"gamma-edge-{name}", doc(M)) for name, M in edges]
+    # strings int() takes but that are not an optional "-" and ASCII digits
+    for k, literal in enumerate(["1_0", " 1 ", "+1", "\u0661\u0662"]):
+        text = json.dumps({"n": 2, "rows": [["1", literal], ["0", "1"]]})
+        out.append((f"lax-literal#{k}", text))
     out.append(("not-json", "{"))
     out.append(("ragged", '{"n": 2, "rows": [[1, 0], [0]]}'))
     return out

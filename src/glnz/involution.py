@@ -171,6 +171,11 @@ def profile(P: IntMatrix) -> InvolutionProfile:
     """Block sizes from ranks: the eigen lattices of P have ranks
     n - rank_Q(P - I) = a + p and n - rank_Q(P + I) = b + p."""
     _demand_involution(P)
+    return _rank_profile(P)
+
+
+def _rank_profile(P: IntMatrix) -> InvolutionProfile:
+    """profile(P) for a P already known to be an involution."""
     n = P.n
     p_minus_i = P.shifted(-1)
     p = rank_mod2(p_minus_i)
@@ -271,7 +276,7 @@ def order3_witness(P: IntMatrix) -> IntMatrix:
     )
     if (
         not is_involution(witness)
-        or profile(witness) != cb.profile
+        or _rank_profile(witness) != cb.profile
         or element_order(P * witness, 3) != 3
     ):
         raise RuntimeError("order-three witness postcondition violated")
@@ -302,7 +307,7 @@ def four_involution_witness(P: IntMatrix) -> IntMatrix:
     witness = _modified_conjugate(cb, changes)
     if (
         not is_involution(witness)
-        or profile(witness) != prof
+        or _rank_profile(witness) != prof
         or classify(P * witness) != InvolutionKind(GAMMA_INVOLUTION, 4)
     ):
         raise RuntimeError("four-involution witness postcondition violated")

@@ -100,6 +100,32 @@ class TestClassifyCommand:
         assert out == ""
         assert err.startswith("parse error: ")
 
+    @pytest.mark.parametrize("literal", ["1_000", " 5 ", "+7", "\u0661\u0662", "5\n", "-", ""])
+    def test_lax_integer_literal_exits_2(self, capsys, monkeypatch, literal):
+        # README: entries are JSON integers or decimal strings, an optional
+        # "-" and ASCII digits; int() alone also takes these
+        doc = json.dumps({"n": 2, "rows": [["1", literal], ["0", "1"]]})
+        code, out, err = run_cli(capsys, ["classify"], doc, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: bad integer literal: {literal!r}\n"
+
+    def test_decimal_strings_accepted(self, capsys, monkeypatch):
+        doc = json.dumps({"n": 2, "rows": [["-1", "-0"], ["007", "1"]]})
+        code, out, _ = run_cli(capsys, ["classify"], doc, monkeypatch)
+        assert code == 0
+        assert json.loads(out)["det"] == -1
+
+    def test_squares_input_once(self, capsys, monkeypatch):
+        squared = []
+        original = involution.is_involution
+        monkeypatch.setattr(
+            involution, "is_involution", lambda M: squared.append(M) or original(M)
+        )
+        code, _, _ = run_cli(capsys, ["classify"], SWAP_DOC, monkeypatch)
+        assert code == 0
+        assert len(squared) == 1
+
     def test_matches_library(self, capsys, monkeypatch):
         M = IntMatrix(((1, 0, 0), (0, 0, 1), (0, 1, 0)))
         code, out, _ = run_cli(
@@ -477,6 +503,11 @@ class TestParserReuse:
         )
         assert code == 0
         assert json.loads(out) == {"level": 2, "member": True}
+
+    def test_parser_is_built_once(self):
+        from glnz.cli import build_parser
+
+        assert build_parser() is build_parser()
 
     @pytest.mark.parametrize("argv", [["--help"], ["gamma", "--help"]])
     def test_help_text_is_stable(self, capsys, argv):

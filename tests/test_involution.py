@@ -233,6 +233,44 @@ class TestOrder3Witness:
             order3_witness(IntMatrix(((1, 1), (0, 1))))
 
 
+class TestWitnessPostconditions:
+    @pytest.mark.parametrize(
+        "witness,P",
+        [
+            (order3_witness, canonical_block(1, 1, 2)),
+            (four_involution_witness, canonical_block(4, 3, 1)),
+        ],
+    )
+    def test_each_matrix_squared_once(self, monkeypatch, witness, P):
+        import glnz.involution as involution
+
+        squared = []
+        original = involution.is_involution
+        monkeypatch.setattr(
+            involution, "is_involution", lambda M: squared.append(M.rows) or original(M)
+        )
+        witness(P)
+        assert len(squared) == len(set(squared))
+
+    @pytest.mark.parametrize(
+        "witness,P,message",
+        [
+            (order3_witness, canonical_block(1, 1, 2), "order-three"),
+            (four_involution_witness, canonical_block(4, 3, 1), "four-involution"),
+        ],
+    )
+    def test_non_involution_witness_is_a_postcondition_failure(
+        self, monkeypatch, witness, P, message
+    ):
+        import glnz.involution as involution
+
+        monkeypatch.setattr(
+            involution, "_modified_conjugate", lambda cb, changes: cb.U * cb.U
+        )
+        with pytest.raises(RuntimeError, match=f"{message} witness postcondition violated"):
+            witness(P)
+
+
 class TestFourInvolutionWitness:
     def test_two_swaps(self):
         P = canonical_block(5, 0, 2)  # two swap pairs and five fixed vectors
