@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Dump the program's observable outputs in a stable text form.
 
-Two sections, one line per output:
+Three sections, one line per output:
 
 * every SMOKE suite configuration of ``tests/test_verify.py`` at three
   seeds, as the report JSON without ``elapsed_ms``;
@@ -11,7 +11,11 @@ Two sections, one line per output:
   cases and a few malformed or rejected inputs (among them integer strings
   with "_", spaces, "+" or non-ASCII digits).
   Each ``canon`` and ``witness`` result that exits 0 is followed by a line
-  saying whether it checks out.
+  saying whether it checks out;
+* the same for the commands that read no document: ``identities``,
+  ``lift --row`` on a grid of (a, c) pairs (valid and rejected, small and
+  40-digit, of every sign, c = 0 among them) and ``verify`` on each SMOKE
+  configuration.
 
 Run it on two checkouts and diff the files:
 
@@ -96,6 +100,20 @@ def documents() -> list:
     return out
 
 
+def row_pairs() -> list:
+    """(a, c) inputs of ``lift --row``: a small grid with zero, negative,
+    even a, odd c and non-coprime entries, then 40-digit pairs of each
+    sign and a few rejected ones."""
+    grid = [(a, c) for a in (-9, -3, -1, 1, 2, 3, 7, 15) for c in (-12, -4, -2, 0, 2, 3, 6, 10)]
+    rng = random.Random(40)
+    big = []
+    for _ in range(6):
+        a, c = 2 * rng.randrange(10**39, 10**40) + 1, 2 * rng.randrange(10**39, 10**40)
+        big += [(a, c), (-a, c), (a, -c), (-a, -c)]
+    big += [(big[0][0] * 3, big[0][1] * 3), (big[0][1], big[0][0]), (big[0][0], 0)]
+    return grid + big
+
+
 def check(argv: list, text: str, stdout: str) -> str:
     """Whether a canon or witness result holds for its input."""
     from glnz.cli import parse_matrix_document
@@ -153,7 +171,7 @@ def main() -> int:
             print(f"cli {' '.join(argv)} {name} exit={code} stdout={out} stderr={err}")
             if code == 0 and argv[0] in ("canon", "witness"):
                 print(f"cli {' '.join(argv)} {name} {check(argv, text, out)}")
-    fixed = [["identities"], ["lift", "--row", "3", "4"], ["lift", "--row", "2", "4"]]
+    fixed = [["identities"]] + [["lift", "--row", str(a), str(c)] for a, c in row_pairs()]
     fixed += [["verify", "--suite", s, "--n", str(n), "--trials", str(t), "--seed", "9"]
               for s, n, t in configs]
     for argv in fixed:

@@ -290,6 +290,25 @@ class TestLiftRow:
             assert M.rows[0][1] % 2 == 0 and M.rows[1][1] % 2 == 1
             done += 1
 
+    def test_normal_form(self):
+        # a d - b c = 1 with b even has exactly one solution with d in
+        # [1, 2|c|), so these checks pin every output
+        from math import gcd
+
+        rng = random.Random(15)
+        big = [(2 * rng.randrange(10**39, 10**40) + 1, 2 * rng.randrange(10**39, 10**40))
+               for _ in range(50)]
+        big += [(sa * a, sc * c) for a, c in big[:10] for sa in (1, -1) for sc in (1, -1)]
+        small = [(a, c) for a in range(-199, 200, 2) for c in range(-200, 201, 2) if c]
+        for a, c in small + big:
+            if gcd(a, c) != 1:
+                continue
+            (a0, b, z0), (c0, d, z1), last = lift_row_to_sl3(a, c).rows
+            assert (a0, c0, z0, z1, last) == (a, c, 0, 0, (0, 0, 1))
+            assert 1 <= d < 2 * abs(c) and b % 2 == 0 and a * d - b * c == 1
+        assert lift_row_to_sl3(1, 0).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert lift_row_to_sl3(-1, 0).rows == ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="odd"):
             lift_row_to_sl3(2, 4)
