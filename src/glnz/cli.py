@@ -176,7 +176,7 @@ def cmd_lift(args) -> int:
         {
             "mode": "mod2",
             "matrix": matrix_payload(M),
-            "det": _encode_int(M.det()),
+            "det": 1,  # lift_mod2 checked det 1 and the reduction
             "reduction": matrix_payload(M.mod(2)),
         }
     )

@@ -249,24 +249,13 @@ def commutator_identities() -> CommutatorReport:
     )
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def lift_row_to_sl3(a: int, c: int) -> IntMatrix:
     """Complete a coprime (odd, even) column to [[a,b,0],[c,d,0],[0,0,1]]
     in SL(3, Z) congruent to I mod 2.
 
-    Determinant 1 forces d odd; b is made even by shifting along the
-    solution line, and d is normalized into [1, 2|c|] when c != 0.
+    Determinant 1 with b even means a d = 1 mod 2c, so for c != 0 the
+    completion is normalized to the one solution with d in [1, 2|c|):
+    d = a^-1 mod 2|c| and b = (a d - 1)/c.  For c = 0, a = +-1 and d = a.
     """
     a, c = operator.index(a), operator.index(c)
     if a % 2 == 0:
@@ -278,18 +267,8 @@ def lift_row_to_sl3(a: int, c: int) -> IntMatrix:
     if c == 0:
         d, b = a, 0
     else:
-        _, u, v = _xgcd(a, c)
-        g = a * u + c * v
-        u, v = u // g, v // g
-        d, b = u, -v
-        if b % 2:
-            b += a
-            d += c
-        step = 2 * abs(c)
-        d_target = d % step
-        shift = (d_target - d) // (2 * c)
-        b += 2 * a * shift
-        d = d_target
+        d = pow(a, -1, 2 * abs(c))
+        b = (a * d - 1) // c
     M = IntMatrix(((a, b, 0), (c, d, 0), (0, 0, 1)))
     if M.det() != 1 or not in_gamma(M, 2):
         raise RuntimeError("row completion postcondition violated")

@@ -370,9 +370,7 @@ def summand_index(L1: Lattice, L2: Lattice) -> int:
 def content_and_primitive(v: Sequence[int]) -> tuple[int, Vector]:
     """Split v as content * primitive; the zero vector has content 0."""
     vv = _vec(v)
-    g = 0
-    for x in vv:
-        g = gcd(g, x)
+    g = gcd(*vv)
     if g == 0:
         return 0, vv
     return g, tuple(x // g for x in vv)
@@ -430,27 +428,25 @@ def random_unimodular(n: int, word_length: int, entry_bound: int, seed: int) -> 
     The result always has determinant +-1; identical arguments give the
     identical matrix.
     """
-    return _random_unimodular_pair(n, word_length, entry_bound, seed, with_inverse=False)[0]
+    return _random_unimodular_pair(n, word_length, entry_bound, seed)[0]
 
 
 def _random_unimodular_pair(
-    n: int, word_length: int, entry_bound: int, seed: int, with_inverse: bool = True
-) -> tuple[IntMatrix, IntMatrix | None]:
-    """``random_unimodular(...)`` and, unless with_inverse is false, its
-    inverse, built side by side: each right factor F of U enters U^-1 as
-    F^-1 on the left, a row operation."""
+    n: int, word_length: int, entry_bound: int, seed: int
+) -> tuple[IntMatrix, IntMatrix]:
+    """``random_unimodular(...)`` and its inverse, built side by side: each
+    right factor F of U enters U^-1 as F^-1 on the left, a row operation."""
     if n < 1 or entry_bound < 1 or word_length < 0:
         raise ValueError("parameters out of range")
     rng = random.Random(seed)
     cols = _identity_columns(n)  # columns of U
-    inv = _identity_columns(n) if with_inverse else None  # rows of U^-1
+    inv = _identity_columns(n)  # rows of U^-1
     for _ in range(word_length):
         if n >= 2 and rng.random() < 0.75:
             i, j = rng.sample(range(n), 2)
             c = rng.randint(1, entry_bound) * rng.choice((1, -1))
             _shear_columns(cols, i, j, c)
-            if inv is not None:
-                inv[i] = [x - c * y for x, y in zip(inv[i], inv[j])]
+            inv[i] = [x - c * y for x, y in zip(inv[i], inv[j])]
         else:
             # right factor with entry s_j at (perm[j], j): column j of U
             # becomes s_j times column perm[j], and row j of U^-1 becomes
@@ -458,10 +454,8 @@ def _random_unimodular_pair(
             perm = rng.sample(range(n), n)
             signs = [rng.choice((1, -1)) for _ in range(n)]
             cols = [cols[p] if s == 1 else [-x for x in cols[p]] for p, s in zip(perm, signs)]
-            if inv is not None:
-                inv = [inv[p] if s == 1 else [-x for x in inv[p]] for p, s in zip(perm, signs)]
-    U = _trusted(tuple(zip(*cols)))
-    return U, None if inv is None else _trusted(tuple(map(tuple, inv)))
+            inv = [inv[p] if s == 1 else [-x for x in inv[p]] for p, s in zip(perm, signs)]
+    return _trusted(tuple(zip(*cols))), _trusted(tuple(map(tuple, inv)))
 
 
 def random_elementary_word(n: int, word_length: int, entry_bound: int, seed: int) -> IntMatrix:

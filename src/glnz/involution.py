@@ -10,6 +10,7 @@ the exact block matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .congruence import lift_mod2
@@ -79,14 +80,6 @@ class InvolutionProfile:
         return self.p == 0
 
     @property
-    def rank_plus(self) -> int:
-        return self.a + self.p
-
-    @property
-    def rank_minus(self) -> int:
-        return self.b + self.p
-
-    @property
     def kind(self) -> InvolutionKind:
         """The conjugacy class the profile belongs to."""
         a, b, p = self.a, self.b, self.p
@@ -133,6 +126,9 @@ class CanonicalBasis:
 
 def canonical_block(a: int, b: int, p: int) -> IntMatrix:
     """diag(I_a, -I_b, p swap blocks)."""
+    a, b, p = operator.index(a), operator.index(b), operator.index(p)
+    if min(a, b, p) < 0:
+        raise ValueError("block sizes must be non-negative")
     n = a + b + 2 * p
     rows = [[0] * n for _ in range(n)]
     for i in range(a):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactmat import IntMatrix, Lattice, Vector, _vec, content_and_primitive
-from .involution import EXTREMAL, classify, eigen_lattices
+from .involution import EXTREMAL, _rank_profile, eigen_lattices
 
 __all__ = [
     "MutualSubgroup",
@@ -120,10 +120,12 @@ def mutual_subgroup(P: IntMatrix, Q: IntMatrix) -> MutualSubgroup | None:
     """
     if P == Q:
         raise ValueError("involutions must be distinct")
-    if classify(P).name != EXTREMAL or classify(Q).name != EXTREMAL:
-        raise ValueError("inputs must be extremal involutions")
-    p_plus, p_minus = eigen_lattices(P)
-    q_plus, q_minus = eigen_lattices(Q)
+    summands = []
+    for M in (P, Q):
+        summands.append(eigen_lattices(M))  # checks that M is an involution
+        if _rank_profile(M).kind.name != EXTREMAL:
+            raise ValueError("inputs must be extremal involutions")
+    (p_plus, p_minus), (q_plus, q_minus) = summands
     if p_plus == q_plus:
         shared, side = p_plus, "plus"
     elif p_minus == q_minus:

@@ -114,6 +114,16 @@ class TestCanonicalForm:
             assert summand_index(plus, minus) == 2**prof.p
         assert prof.diagonalizable == (prof.p == 0)
 
+    def test_canonical_block_sizes(self):
+        # negative sizes used to give a 1x1 matrix, a swap or an IndexError
+        for a, b, p in ((-1, 2, 0), (-2, 0, 2), (3, -1, 0), (1, 2, -1)):
+            with pytest.raises(ValueError, match="non-negative"):
+                canonical_block(a, b, p)
+        for a, b, p in ((2.0, 1, 0), (1, 1.5, 0), (1, 0, "1")):
+            with pytest.raises(TypeError):
+                canonical_block(a, b, p)
+        assert canonical_block(True, True, False) == IntMatrix.diagonal((1, -1))
+
     def test_canonical_blocks_map_to_the_identity(self):
         # a block already in canonical form needs no change of basis, and a
         # diagonalizable one keeps the kernel bases of its eigen lattices

@@ -169,6 +169,33 @@ class TestMutualSubgroup:
             mutual_subgroup(P, P)
         with pytest.raises(ValueError, match="extremal"):
             mutual_subgroup(IntMatrix.diagonal((-1, -1, 1)), P)
+        # the first input is checked in full before the second
+        shear = IntMatrix.elementary(3, 0, 1, 1)
+        with pytest.raises(ValueError, match="extremal"):
+            mutual_subgroup(IntMatrix.diagonal((-1, -1, 1)), shear)
+        with pytest.raises(ValueError, match="not an involution"):
+            mutual_subgroup(P, shear)
+        with pytest.raises(ValueError, match="not an involution"):
+            mutual_subgroup(shear, IntMatrix.diagonal((-1, -1, 1)))
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_squares_each_input_once(self, monkeypatch, shared):
+        P = IntMatrix.diagonal((-1, 1, 1))
+        if shared:
+            Q = involution_from_splitting([(0, 1, 0), (0, 0, 1)], [(1, 2, 0)])
+        else:
+            Q = IntMatrix.diagonal((1, -1, 1))
+        squared = []
+        original = IntMatrix.__mul__
+
+        def mul(self, other):
+            if isinstance(other, IntMatrix) and other == self:
+                squared.append(self.rows)
+            return original(self, other)
+
+        monkeypatch.setattr(IntMatrix, "__mul__", mul)
+        assert (mutual_subgroup(P, Q) is not None) == shared
+        assert sorted(squared) == sorted([P.rows, Q.rows])
 
 
 class TestSharedSummandPredicate:

@@ -81,6 +81,17 @@ def test_out_of_range_rank_rejected():
         run_suite("P1_9", 30, 1, 1)
 
 
+def test_rank_trials_and_seed_must_be_integers():
+    # a float n used to pass the range check and crash every trial
+    for args in (("MU_SURJ", 2.0, 3, 0), ("MU_SURJ", 2, 2.0, 0), ("MU_SURJ", 2, 3, 0.5),
+                 ("MU_SURJ", 2, 3, None), ("MU_SURJ", "2", 3, 0)):
+        with pytest.raises(TypeError):
+            run_suite(*args)
+    report = run_suite("MU_SURJ", True, True, False)
+    assert (report.n, report.trials, report.seed) == (1, 1, 0)
+    assert type(report.n) is int and report.passed
+
+
 def test_report_schema_fields():
     report = run_suite("MU_SURJ", 3, 5, 9)
     doc = report.to_jsonable()
