@@ -9,7 +9,9 @@ Three sections, one line per output:
   documents: canonical blocks, diagonalizable and swap-pair (p > 0)
   conjugates, non-involutions, matrices singular mod 2, gamma-level edge
   cases and a few malformed or rejected inputs (among them integer strings
-  with "_", spaces, "+" or non-ASCII digits).
+  with "_", spaces, "+" or non-ASCII digits), then ``canon`` and
+  ``witness --order3`` on seeded involutions of rank 6 to 10 with 15- to
+  40-digit entries, where the Hermite steps of the kernel run long.
   Each ``canon`` and ``witness`` result that exits 0 is followed by a line
   saying whether it checks out;
 * the same for the commands that read no document: ``identities``,
@@ -28,6 +30,7 @@ import argparse
 import ast
 import contextlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -100,6 +103,32 @@ def documents() -> list:
     return out
 
 
+def big_involutions() -> list:
+    """(name, JSON text) of seeded conjugates U B U^-1 of canonical blocks
+    at n = 6..10, U grown shear by shear until the largest entry of the
+    conjugate has at least 15, 25 or 40 digits.  The 25-digit ones are
+    diagonalizable and not central, the others have p > 0."""
+    from glnz.exactmat import random_unimodular
+    from glnz.involution import canonical_block
+
+    rng = random.Random(6)
+    out = []
+    for n in range(6, 11):
+        for digits in (15, 25, 40):
+            p = 0 if digits == 25 else rng.randint(1, n // 2)
+            a = rng.randint(1, n - 1) if digits == 25 else rng.randint(0, n - 2 * p)
+            B = canonical_block(a, n - 2 * p - a, p)
+            seed = rng.randrange(1 << 30)
+            for length in itertools.count(n):
+                U = random_unimodular(n, length, 9, seed)
+                P = U * B * U.inverse()
+                if max(len(str(abs(x))) for r in P.rows for x in r) >= digits:
+                    break
+            text = json.dumps({"n": n, "rows": [[str(x) for x in r] for r in P.rows]})
+            out.append((f"big{(a, n - 2 * p - a, p)}-{digits}", text))
+    return out
+
+
 def row_pairs() -> list:
     """(a, c) inputs of ``lift --row``: a small grid with zero, negative,
     even a, odd c and non-coprime entries, then 40-digit pairs of each
@@ -165,8 +194,10 @@ def main() -> int:
     commands = (["classify"], ["canon"], ["factor"], ["lift", "--mod2"],
                 ["witness", "--order3"], ["witness", "--four"],
                 ["gamma", "--m", "2"], ["gamma", "--m", "3"])
-    for name, text in documents():
-        for argv in commands:
+    runs = [(name, text, commands) for name, text in documents()]
+    runs += [(name, text, (["canon"], ["witness", "--order3"])) for name, text in big_involutions()]
+    for name, text, argvs in runs:
+        for argv in argvs:
             code, out, err = run_cli(argv, text)
             print(f"cli {' '.join(argv)} {name} exit={code} stdout={out} stderr={err}")
             if code == 0 and argv[0] in ("canon", "witness"):
