@@ -46,6 +46,9 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
     with strictly increasing pivot columns, entries above each pivot reduced
     into ``[0, pivot)``, zero rows at the bottom.  When ``transform`` is set,
     ``U`` is unimodular with ``U @ rows == H``; otherwise ``U`` is None.
+    Each pivot column is cleared by ``_euclid_column`` with its extended-gcd
+    step (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4),
+    so large entries take a few rounds, not one per Euclid quotient.
     """
     H = [list(map(operator.index, r)) for r in rows]
     m = len(H)
@@ -53,15 +56,22 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
     if any(len(r) != ncols for r in H):
         raise ValueError("ragged matrix")
     U = [[int(i == j) for j in range(m)] for i in range(m)] if transform else None
+    mats = (H,) if U is None else (H, U)
 
     def axpy(dst: int, src: int, q: int) -> None:
-        H[dst] = [a - q * b for a, b in zip(H[dst], H[src])]
-        if U is not None:
-            U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
+        for A in mats:
+            A[dst] = [a - q * b for a, b in zip(A[dst], A[src])]
+
+    def combine(i: int, k: int, s: int, t: int, u: int, v: int) -> None:
+        for A in mats:
+            A[i], A[k] = (
+                [s * a + t * b for a, b in zip(A[i], A[k])],
+                [u * a + v * b for a, b in zip(A[i], A[k])],
+            )
 
     r = 0
     for col in range(ncols):
-        i0 = _euclid_column(H, col, r, axpy)
+        i0 = _euclid_column(H, col, r, axpy, combine)
         if i0 is None:
             continue
         if i0 != r:
@@ -83,10 +93,15 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
     return H, U, r
 
 
-def _euclid_column(A: list[list[int]], col: int, start: int, axpy) -> int | None:
+def _euclid_column(A: list[list[int]], col: int, start: int, axpy, combine=None) -> int | None:
     """Euclid on column col of rows start.. of A: reduce by the least |entry|
     (lowest index on ties) with ``axpy(dst, src, q)``, dst -= q * src, until
-    one row is nonzero there.  Returns that row, or None if none is."""
+    one row is nonzero there.  Returns that row, or None if none is.
+
+    With ``combine(i, k, s, t, u, v)``, which sets rows i, k to s*i + t*k,
+    u*i + v*k, each round ends with the unimodular extended-gcd step on the
+    least row and the least row still nonzero: gcd of the two into the
+    first, zero into the second.  Without it every step is an ``axpy``."""
     while True:
         live = [i for i in range(start, len(A)) if A[i][col]]
         if len(live) <= 1:
@@ -95,6 +110,25 @@ def _euclid_column(A: list[list[int]], col: int, start: int, axpy) -> int | None
         base = live[0]
         for i in live[1:]:
             axpy(i, base, A[i][col] // A[base][col])
+        rest = [i for i in live[1:] if A[i][col]] if combine else ()
+        if rest:
+            k = min(rest, key=lambda i: (abs(A[i][col]), i))
+            b, c = A[base][col], A[k][col]
+            g, s, t = _xgcd(b, c)
+            combine(base, k, s, t, -c // g, b // g)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), by the extended Euclidean
+    algorithm on |a| and |b|; for nonzero a and b, |s| <= |b|/g and
+    |t| <= |a|/g."""
+    r0, r1, s0, s1, t0, t1 = abs(a), abs(b), 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return r0, s0 if a >= 0 else -s0, t0 if b >= 0 else -t0
 
 
 def _matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
@@ -538,7 +572,11 @@ def _coordinates(L: Lattice, vectors: Iterable[Vector]) -> list[Vector] | None:
 
 def basis_completion(cols: Sequence[Sequence[int]]) -> IntMatrix:
     """Unimodular matrix whose first k columns are exactly the given
-    columns; requires the columns to span a saturated rank-k lattice."""
+    columns; requires the columns to span a saturated rank-k lattice.
+
+    Only those k columns and unimodularity are promised: the other columns
+    come from a Hermite transform, which is not unique, and may differ
+    from those of earlier versions."""
     return _basis_completion_pair(cols)[0]
 
 

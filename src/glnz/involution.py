@@ -234,17 +234,21 @@ def canonical_form(P: IntMatrix) -> CanonicalBasis:
     picks = [j for j, _ in _mod2_pivots(res_plus)]
     ys, fixed = _lifted_basis(plus, [res_plus[j] for j in picks])
     zs, negated = _lifted_basis(minus, [res_minus[j] for j in picks])
+    # the columns of U and of U B: B negates the negated block and
+    # exchanges the two columns of each swap pair
     cols = fixed + negated
+    images = fixed + [tuple(-s for s in h) for h in negated]
     for y, z in zip(ys, zs):
-        cols.append(tuple((s + t) // 2 for s, t in zip(y, z)))
-        cols.append(tuple((s - t) // 2 for s, t in zip(y, z)))
+        x = tuple((s + t) // 2 for s, t in zip(y, z))
+        px = tuple((s - t) // 2 for s, t in zip(y, z))
+        cols += [x, px]
+        images += [px, x]
     U = IntMatrix.from_columns(cols)
     p = len(picks)
-    result = CanonicalBasis(U=U, profile=InvolutionProfile(plus.rank - p, minus.rank - p, p))
     # with |det U| = 1, P U = U B is the same as U^-1 P U = B
-    if abs(U.det()) != 1 or P * U != U * result.block_matrix():
+    if abs(U.det()) != 1 or (P * U).columns() != tuple(images):
         raise RuntimeError("canonical basis postcondition violated")
-    return result
+    return CanonicalBasis(U=U, profile=InvolutionProfile(plus.rank - p, minus.rank - p, p))
 
 
 def _modified_conjugate(cb: CanonicalBasis, changes: dict[tuple[int, int], int]) -> IntMatrix:

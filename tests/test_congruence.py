@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from glnz import exactmat
 from glnz.congruence import (
     ElementaryFactor,
     Factorization,
@@ -75,6 +76,18 @@ class TestElementaryFactorization:
             F = elementary_factorization(M)
             assert F.product() == M
             assert all(f.c != 0 and f.i != f.j for f in F.factors)
+
+    def test_euclid_steps_only(self, monkeypatch):
+        # the factors are the Euclid steps themselves; the extended-gcd
+        # step of the Hermite reduction has no place in them
+        def refuse(a, b):
+            raise AssertionError("extended-gcd step in the factorization")
+
+        monkeypatch.setattr(exactmat, "_xgcd", refuse)
+        rng = random.Random(14)
+        for n in (2, 4, 6):
+            M = random_elementary_word(n, 40, 10**6, rng.randrange(1 << 30))
+            assert elementary_factorization(M).product() == M
 
     def test_product_rejects_float_coefficient(self):
         F = Factorization(3, (ElementaryFactor(0, 1, 2), ElementaryFactor(1, 2, 1.5)))

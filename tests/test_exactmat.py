@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from glnz.exactmat import (
     IntMatrix,
     Lattice,
     _basis_completion_pair,
+    _matmul,
     _random_unimodular_pair,
     _shear_word,
+    _xgcd,
     basis_completion,
     content_and_primitive,
     element_order,
@@ -20,6 +23,7 @@ from glnz.exactmat import (
     rank_mod2,
     rational_rank,
     restriction_matrix,
+    row_hermite,
     summand_index,
 )
 
@@ -89,6 +93,56 @@ class TestHnf:
             assert lattice.contains(c)
         for b in lattice.basis:
             assert Lattice(n, tuple(cols)) == Lattice(n, tuple(cols) + (b,))
+
+
+def _big_entry(rng, lo=20, hi=60):
+    return rng.choice((1, -1)) * rng.randrange(10 ** (rng.randint(lo, hi) - 1), 10 ** hi)
+
+
+def _hermite_inputs():
+    """Seeded m x n inputs with 20- to 60-digit entries: full rank square
+    and non-square, rank-deficient products of thin factors, and rows
+    with zero columns and repeated rows mixed in."""
+    rng = random.Random(60)
+    out = []
+    for m, n in ((4, 4), (6, 6), (3, 6), (6, 3), (2, 7), (7, 2)):
+        out.append([[_big_entry(rng) for _ in range(n)] for _ in range(m)])
+    for m, n, k in ((5, 5, 2), (6, 4, 3), (4, 6, 1), (7, 7, 5)):
+        A = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)]
+        B = [[_big_entry(rng, 15, 30) for _ in range(n)] for _ in range(k)]
+        out.append([list(r) for r in _matmul(A, B)])
+    rows = [[_big_entry(rng) if j % 3 else 0 for j in range(6)] for _ in range(3)]
+    out.append(rows + [rows[1], [0] * 6, rows[0]])
+    return out
+
+
+class TestHermiteContract:
+    @pytest.mark.parametrize("rows", _hermite_inputs())
+    def test_unique_hnf_and_unimodular_transform(self, rows):
+        H, U, r = row_hermite(rows, transform=True)
+        pivots = [next(j for j, x in enumerate(H[i]) if x) for i in range(r)]
+        assert pivots == sorted(set(pivots))
+        assert not any(any(row) for row in H[r:])
+        for i, piv in enumerate(pivots):
+            assert H[i][piv] > 0
+            assert all(0 <= H[k][piv] < H[i][piv] for k in range(i))
+        assert row_hermite(rows) == (H, None, r)
+        assert abs(IntMatrix(U).det()) == 1
+        assert _matmul(U, rows) == tuple(map(tuple, H))
+
+    @given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40))
+    @settings(max_examples=300)
+    def test_xgcd_bezout_with_bounded_coefficients(self, a, b):
+        g, s, t = _xgcd(a, b)
+        assert g == gcd(a, b)
+        assert s * a + t * b == g
+        if a and b:
+            assert abs(s) <= abs(b) // g and abs(t) <= abs(a) // g
+
+    def test_xgcd_edge_cases(self):
+        for a, b in ((1, 1), (5, 5), (-5, 5), (7, -14), (-14, -7), (1, -(10**50)), (3, 0), (0, -4)):
+            g, s, t = _xgcd(a, b)
+            assert g == gcd(a, b) and s * a + t * b == g
 
 
 class TestKernel:
