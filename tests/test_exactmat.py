@@ -3,7 +3,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glnz.exactmat import (
@@ -131,6 +131,13 @@ class TestHermiteContract:
         assert _matmul(U, rows) == tuple(map(tuple, H))
 
     @given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40))
+    @example(5, 5)
+    @example(-5, 5)
+    @example(7, -14)
+    @example(-14, -7)
+    @example(1, -(10**50))
+    @example(3, 0)
+    @example(0, -4)
     @settings(max_examples=300)
     def test_xgcd_bezout_with_bounded_coefficients(self, a, b):
         g, s, t = _xgcd(a, b)
@@ -138,11 +145,6 @@ class TestHermiteContract:
         assert s * a + t * b == g
         if a and b:
             assert abs(s) <= abs(b) // g and abs(t) <= abs(a) // g
-
-    def test_xgcd_edge_cases(self):
-        for a, b in ((1, 1), (5, 5), (-5, 5), (7, -14), (-14, -7), (1, -(10**50)), (3, 0), (0, -4)):
-            g, s, t = _xgcd(a, b)
-            assert g == gcd(a, b) and s * a + t * b == g
 
 
 class TestKernel:
