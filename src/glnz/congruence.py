@@ -284,6 +284,12 @@ def lift_mod2(rows) -> IntMatrix:
     singularity: at each column the earlier ones are unit vectors, so the
     matrix is singular exactly when no row from the diagonal down has a 1.
     """
+    return _lift_mod2_word(rows)[0]
+
+
+def _lift_mod2_word(rows) -> tuple[IntMatrix, list[tuple[int, int]]]:
+    """``lift_mod2(rows)`` and its shear word: the lift is the product of
+    the unit shears I + E_ij over the returned (i, j), left to right."""
     if isinstance(rows, IntMatrix):
         rows = rows.rows
     A = [[operator.index(x) % 2 for x in r] for r in rows]
@@ -314,4 +320,4 @@ def lift_mod2(rows) -> IntMatrix:
     M = _shear_word(n, ((i, j, 1) for i, j in ops))
     if M.det() != 1 or M.mod(2).rows != target:
         raise RuntimeError("mod-2 lift postcondition violated")
-    return M
+    return M, ops

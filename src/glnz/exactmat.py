@@ -8,6 +8,7 @@ sublattices are equal as values.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -55,33 +56,27 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
     ncols = len(H[0]) if m else 0
     if any(len(r) != ncols for r in H):
         raise ValueError("ragged matrix")
-    U = [[int(i == j) for j in range(m)] for i in range(m)] if transform else None
-    mats = (H,) if U is None else (H, U)
+    if transform:
+        # U rides along as extra columns, so each row operation is one pass
+        H = [r + [int(i == j) for j in range(m)] for i, r in enumerate(H)]
 
     def axpy(dst: int, src: int, q: int) -> None:
-        for A in mats:
-            A[dst] = [a - q * b for a, b in zip(A[dst], A[src])]
+        H[dst] = [a - q * b for a, b in zip(H[dst], H[src])]
 
     def combine(i: int, k: int, s: int, t: int, u: int, v: int) -> None:
-        for A in mats:
-            A[i], A[k] = (
-                [s * a + t * b for a, b in zip(A[i], A[k])],
-                [u * a + v * b for a, b in zip(A[i], A[k])],
-            )
+        H[i], H[k] = (
+            [s * a + t * b for a, b in zip(H[i], H[k])],
+            [u * a + v * b for a, b in zip(H[i], H[k])],
+        )
 
     r = 0
     for col in range(ncols):
         i0 = _euclid_column(H, col, r, axpy, combine)
         if i0 is None:
             continue
-        if i0 != r:
-            H[r], H[i0] = H[i0], H[r]
-            if U is not None:
-                U[r], U[i0] = U[i0], U[r]
+        H[r], H[i0] = H[i0], H[r]
         if H[r][col] < 0:
             H[r] = [-x for x in H[r]]
-            if U is not None:
-                U[r] = [-x for x in U[r]]
         p = H[r][col]
         for i in range(r):
             q = H[i][col] // p
@@ -90,7 +85,9 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
         r += 1
         if r == m:
             break
-    return H, U, r
+    if not transform:
+        return H, None, r
+    return [row[:ncols] for row in H], [row[ncols:] for row in H], r
 
 
 def _euclid_column(A: list[list[int]], col: int, start: int, axpy, combine=None) -> int | None:
@@ -151,6 +148,13 @@ def _matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> tuple[Vec
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=32)
+def _identity_rows(n: int) -> tuple[Vector, ...]:
+    if n < 1:
+        raise ValueError("matrix must be square and non-empty")
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _trusted(rows: tuple[Vector, ...]) -> "IntMatrix":
     """IntMatrix over rows the kernel just computed: a non-empty square
     tuple of tuples of ints.  Skips the validation of ``IntMatrix(...)``."""
@@ -175,14 +179,16 @@ class IntMatrix:
     # -- construction ----------------------------------------------------
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return _trusted(_identity_rows(operator.index(n)))
 
     @staticmethod
     def diagonal(entries: Sequence[int]) -> "IntMatrix":
+        entries = _vec(entries)
         n = len(entries)
-        return IntMatrix(
-            tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        if n == 0:
+            raise ValueError("matrix must be square and non-empty")
+        zero = (0,) * n
+        return _trusted(tuple(zero[:i] + (x,) + zero[i + 1 :] for i, x in enumerate(entries)))
 
     @staticmethod
     def elementary(n: int, i: int, j: int, c: int) -> "IntMatrix":
@@ -215,7 +221,7 @@ class IntMatrix:
         return sum(self.rows[i][i] for i in range(self.n))
 
     def is_identity(self) -> bool:
-        return all(self.rows[i][j] == (i == j) for i in range(self.n) for j in range(self.n))
+        return self.rows == _identity_rows(len(self.rows))
 
     def mod(self, m: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(x % m for x in r) for r in self.rows))
@@ -443,16 +449,20 @@ def rational_rank(M: IntMatrix) -> int:
 
 
 def element_order(M: IntMatrix, bound: int) -> int | None:
-    """Least k <= bound with M^k = I, or None when the order exceeds bound."""
+    """Least k <= bound with M^k = I, or None when the order exceeds bound.
+
+    M^k = I already makes M invertible, so the determinant is checked only
+    when no power up to bound is I."""
     if bound < 1:
         raise ValueError("bound must be positive")
-    if not M.is_automorphism:
-        raise ValueError("matrix is not an automorphism of Z^n")
     power = M
     for k in range(1, bound + 1):
         if power.is_identity():
             return k
-        power = power * M
+        if k < bound:
+            power = power * M
+    if not M.is_automorphism:
+        raise ValueError("matrix is not an automorphism of Z^n")
     return None
 
 

@@ -11,9 +11,10 @@ the exact block matrix.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .congruence import lift_mod2
+from .congruence import _lift_mod2_word
 from .exactmat import (
     IntMatrix,
     Lattice,
@@ -21,6 +22,7 @@ from .exactmat import (
     _coordinates,
     _matmul,
     _mod2_pivots,
+    _trusted,
     element_order,
     kernel_lattice,
     rank_mod2,
@@ -192,48 +194,80 @@ def involutions_conjugate(P: IntMatrix, Q: IntMatrix) -> bool:
     return profile(P) == profile(Q)
 
 
-def _lifted_basis(L: Lattice, residues: list[Vector]) -> tuple[list[Vector], list[Vector]]:
+def _lifted_basis(
+    L: Lattice, residues: list[Vector]
+) -> tuple[list[Vector], list[Vector], Callable[[list[list[int]]], list[list[int]]]]:
     """A basis of L split into vectors congruent mod 2L to the given
-    coordinate vectors, in order, and the rest.
+    coordinate vectors, in order, and the rest; and the map taking rows of
+    coordinates in L's stored basis (one row per basis vector) to the rows
+    of coordinates in the new basis, the given vectors' rows first.
 
     Each residue sits at its echelon pivot column of a GF(2) matrix that
-    is the identity elsewhere; that matrix is invertible, and its lift to
-    SL(k, Z) is the change of basis.
+    is the identity elsewhere; that matrix is invertible, and its lift T to
+    SL(k, Z) is the change of basis.  T is a word of unit shears, so T^-1 is
+    the word reversed with each coefficient negated, one row operation per
+    shear on the coordinate rows.
     """
     placed = _mod2_pivots(residues)
     if len(placed) != len(residues):
         raise RuntimeError("swap-pair residues are dependent mod 2")
-    if not placed:
-        return [], list(L.basis)
     k = L.rank
     cols = [[int(s == t) for s in range(k)] for t in range(k)]
     for i, pivot in placed:
         cols[pivot] = [x % 2 for x in residues[i]]
-    new = _matmul(lift_mod2(list(zip(*cols))).transpose().rows, L.basis)
+    new, word = L.basis, []
+    if placed:
+        T, word = _lift_mod2_word(list(zip(*cols)))
+        new = _matmul(T.transpose().rows, L.basis)
     pivots = [pivot for _, pivot in placed]
-    return [new[t] for t in pivots], [v for t, v in enumerate(new) if t not in pivots]
+    order = pivots + [t for t in range(k) if t not in pivots]
+
+    def lifted(rows: list[list[int]]) -> list[list[int]]:
+        for i, j in word:
+            rows[i] = [a - b for a, b in zip(rows[i], rows[j])]
+        return [rows[t] for t in order]
+
+    return [new[t] for t in pivots], [new[t] for t in order[len(pivots) :]], lifted
 
 
-def canonical_form(P: IntMatrix) -> CanonicalBasis:
-    """Canonical basis for an involution: U unimodular with U^-1 P U equal
-    to diag(I_a, -I_b, p swap blocks).
+def _halve(v: list[int]) -> Vector:
+    if any(x & 1 for x in v):
+        raise RuntimeError("canonical basis inverse is not integral")
+    return tuple(x >> 1 for x in v)
 
-    One pass over the eigen lattices L+ and L- (Reiner's classification of
-    Z[C2]-lattices): Z^n / (L+ + L-) is (Z/2)^p, and it embeds into L+/2L+
-    by v -> (I + P)v and into L-/2L- by v -> (I - P)v.  Columns j whose L+
-    residues are independent mod 2 give bases y_i, f.. of L+ and z_i, h..
-    of L- with y_i = (I + P)e_j and z_i = (I - P)e_j mod 2; so
-    x_i = (y_i + z_i)/2 is integral, P x_i = (y_i - z_i)/2, and
-    U = [f.., h.., x_i, P x_i ..].
+
+_InverseRows = Callable[[list[int]], list[Vector]]
+
+
+def _canonical_form(P: IntMatrix) -> tuple[CanonicalBasis, _InverseRows]:
+    """canonical_form(P), for a P not yet known to be an involution, and a
+    function giving the rows of U^-1 at the given indices.
+
+    U^-1 v = (alpha, gamma, beta + delta, beta - delta)/2, the last two
+    interleaved by swap pair, where alpha, beta are the coordinates of
+    (I + P)v on f.., y.. and gamma, delta those of (I - P)v on h.., z..:
+    I + P sends x_i and P x_i to y_i, and I - P sends them to z_i and
+    -z_i.  For v = e_k these are the coordinates the residues are read
+    from, lifted to the new bases (those of P - I negated).
     """
-    plus, minus = eigen_lattices(P)
+    try:
+        return _construct_canonical(P)
+    except (ValueError, RuntimeError):
+        # P U = U B with |det U| = 1 proves P^2 = I, so P is squared only
+        # when that fails
+        _demand_involution(P)
+        raise
+
+
+def _construct_canonical(P: IntMatrix) -> tuple[CanonicalBasis, _InverseRows]:
+    plus, minus = kernel_lattice(P.shifted(-1)), kernel_lattice(P.shifted(1))
     res_plus = _coordinates(plus, P.shifted(1).columns())
     res_minus = _coordinates(minus, P.shifted(-1).columns())  # = I - P mod 2
     if res_plus is None or res_minus is None:
         raise RuntimeError("I + P and I - P do not map into the eigen lattices")
     picks = [j for j, _ in _mod2_pivots(res_plus)]
-    ys, fixed = _lifted_basis(plus, [res_plus[j] for j in picks])
-    zs, negated = _lifted_basis(minus, [res_minus[j] for j in picks])
+    ys, fixed, lift_plus = _lifted_basis(plus, [res_plus[j] for j in picks])
+    zs, negated, lift_minus = _lifted_basis(minus, [res_minus[j] for j in picks])
     # the columns of U and of U B: B negates the negated block and
     # exchanges the two columns of each swap pair
     cols = fixed + negated
@@ -248,16 +282,67 @@ def canonical_form(P: IntMatrix) -> CanonicalBasis:
     # with |det U| = 1, P U = U B is the same as U^-1 P U = B
     if abs(U.det()) != 1 or (P * U).columns() != tuple(images):
         raise RuntimeError("canonical basis postcondition violated")
-    return CanonicalBasis(U=U, profile=InvolutionProfile(plus.rank - p, minus.rank - p, p))
+    cb = CanonicalBasis(U=U, profile=InvolutionProfile(plus.rank - p, minus.rank - p, p))
+
+    def inverse_rows(indices: list[int]) -> list[Vector]:
+        beta_alpha = lift_plus([list(r) for r in zip(*res_plus)])
+        delta_gamma = lift_minus([[-x for x in r] for r in zip(*res_minus)])
+        twice = beta_alpha[p:] + delta_gamma[p:]
+        for beta, delta in zip(beta_alpha[:p], delta_gamma[:p]):
+            twice += [[s + t for s, t in zip(beta, delta)], [s - t for s, t in zip(beta, delta)]]
+        return [_halve(twice[i]) for i in indices]
+
+    return cb, inverse_rows
 
 
-def _modified_conjugate(cb: CanonicalBasis, changes: dict[tuple[int, int], int]) -> IntMatrix:
+def canonical_form(P: IntMatrix) -> CanonicalBasis:
+    """Canonical basis for an involution: U unimodular with U^-1 P U equal
+    to diag(I_a, -I_b, p swap blocks).
+
+    One pass over the eigen lattices L+ and L- (Reiner's classification of
+    Z[C2]-lattices): Z^n / (L+ + L-) is (Z/2)^p, and it embeds into L+/2L+
+    by v -> (I + P)v and into L-/2L- by v -> (I - P)v.  Columns j whose L+
+    residues are independent mod 2 give bases y_i, f.. of L+ and z_i, h..
+    of L- with y_i = (I + P)e_j and z_i = (I - P)e_j mod 2; so
+    x_i = (y_i + z_i)/2 is integral, P x_i = (y_i - z_i)/2, and
+    U = [f.., h.., x_i, P x_i ..].
+    """
+    return _canonical_form(P)[0]
+
+
+def _modified_conjugate(
+    P: IntMatrix,
+    cb: CanonicalBasis,
+    inverse_rows: _InverseRows,
+    changes: dict[tuple[int, int], int],
+) -> IntMatrix:
     """U B' U^-1, where B' is the canonical block of cb with the entries
-    at the given positions replaced."""
-    rows = [list(r) for r in cb.block_matrix().rows]
-    for (i, j), x in changes.items():
-        rows[i][j] = x
-    return cb.U * IntMatrix(tuple(tuple(r) for r in rows)) * cb.U.inverse()
+    at the given positions replaced: P plus the sum over them of
+    (B'_ij - B_ij) U[:, i] (U^-1)[j, :], a low-rank update."""
+    B = cb.block_matrix().rows
+    S = sorted({k for ij in changes for k in ij})
+    delta = [[changes.get((i, j), B[i][j]) - B[i][j] for j in S] for i in S]
+    update = _matmul([[r[i] for i in S] for r in cb.U.rows], _matmul(delta, inverse_rows(S)))
+    return P + _trusted(update)
+
+
+def _order3_witness(P: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """order3_witness(P) and its product with P."""
+    cb, inverse_rows = _canonical_form(P)
+    if cb.profile.diagonalizable:
+        raise ValueError("diagonalizable involution admits no order-three witness")
+    lo, _ = cb.layout.pairs[0]
+    witness = _modified_conjugate(
+        P, cb, inverse_rows, {(lo, lo): 1, (lo, lo + 1): -1, (lo + 1, lo): 0, (lo + 1, lo + 1): -1}
+    )
+    product = P * witness
+    if (
+        not is_involution(witness)
+        or _rank_profile(witness) != cb.profile
+        or element_order(product, 3) != 3
+    ):
+        raise RuntimeError("order-three witness postcondition violated")
+    return witness, product
 
 
 def order3_witness(P: IntMatrix) -> IntMatrix:
@@ -267,31 +352,12 @@ def order3_witness(P: IntMatrix) -> IntMatrix:
     In canonical coordinates the first swap block is replaced by
     [[1, -1], [0, -1]]; the swap times that block is a rotation of order 3.
     """
-    cb = canonical_form(P)
-    if cb.profile.diagonalizable:
-        raise ValueError("diagonalizable involution admits no order-three witness")
-    lo, _ = cb.layout.pairs[0]
-    witness = _modified_conjugate(
-        cb, {(lo, lo): 1, (lo, lo + 1): -1, (lo + 1, lo): 0, (lo + 1, lo + 1): -1}
-    )
-    if (
-        not is_involution(witness)
-        or _rank_profile(witness) != cb.profile
-        or element_order(P * witness, 3) != 3
-    ):
-        raise RuntimeError("order-three witness postcondition violated")
-    return witness
+    return _order3_witness(P)[0]
 
 
-def four_involution_witness(P: IntMatrix) -> IntMatrix:
-    """A conjugate P' of P whose product with P is a 4-involution.
-
-    Needs P non-diagonalizable, not a 1-permutation, and rank at least 9
-    (the product negates four basis vectors and must fix more than four).
-    The four modified canonical vectors are two swap pairs when p >= 2,
-    otherwise the swap pair plus one fixed and one negated vector.
-    """
-    cb = canonical_form(P)
+def _four_involution_witness(P: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """four_involution_witness(P) and its product with P."""
+    cb, inverse_rows = _canonical_form(P)
     prof = cb.profile
     if prof.diagonalizable:
         raise ValueError("involution must be non-diagonalizable")
@@ -304,14 +370,26 @@ def four_involution_witness(P: IntMatrix) -> IntMatrix:
         changes[lo, lo + 1] = changes[lo + 1, lo] = -1
     if prof.p == 1:
         changes[0, 0], changes[prof.a, prof.a] = -1, 1
-    witness = _modified_conjugate(cb, changes)
+    witness = _modified_conjugate(P, cb, inverse_rows, changes)
+    product = P * witness
     if (
         not is_involution(witness)
         or _rank_profile(witness) != prof
-        or classify(P * witness) != InvolutionKind(GAMMA_INVOLUTION, 4)
+        or classify(product) != InvolutionKind(GAMMA_INVOLUTION, 4)
     ):
         raise RuntimeError("four-involution witness postcondition violated")
-    return witness
+    return witness, product
+
+
+def four_involution_witness(P: IntMatrix) -> IntMatrix:
+    """A conjugate P' of P whose product with P is a 4-involution.
+
+    Needs P non-diagonalizable, not a 1-permutation, and rank at least 9
+    (the product negates four basis vectors and must fix more than four).
+    The four modified canonical vectors are two swap pairs when p >= 2,
+    otherwise the swap pair plus one fixed and one negated vector.
+    """
+    return _four_involution_witness(P)[0]
 
 
 def standard_commuting_family(n: int) -> list[IntMatrix]:

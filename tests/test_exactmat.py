@@ -261,6 +261,38 @@ class TestElementOrder:
         with pytest.raises(ValueError):
             element_order(IntMatrix(((2, 0), (0, 1))), 5)
 
+    def test_determinant_checked_only_when_no_power_is_identity(self):
+        # M^k = I already proves M invertible; a miss still checks det
+        swap = IntMatrix(((0, 1), (1, 0)))
+        assert element_order(swap, 1) is None
+        assert element_order(swap, 2) == 2
+        for bound in (1, 2, 3):
+            with pytest.raises(ValueError, match="not an automorphism"):
+                element_order(IntMatrix(((0, 0), (0, 0))), bound)
+
+
+class TestConstructors:
+    def test_identity_and_diagonal_match_the_validating_constructor(self):
+        for n in range(1, 7):
+            eye = IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+            assert IntMatrix.identity(n) == eye and eye.is_identity()
+            entries = list(range(-3, n - 3))
+            assert IntMatrix.diagonal(entries) == IntMatrix(
+                tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
+            )
+            assert not IntMatrix.diagonal([1] * (n - 1) + [-1]).is_identity()
+
+    def test_bad_sizes_and_entries(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="non-empty"):
+                IntMatrix.identity(n)
+        with pytest.raises(ValueError, match="non-empty"):
+            IntMatrix.diagonal(())
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2.0)
+        with pytest.raises(TypeError):
+            IntMatrix.diagonal((1, 2.0))
+
 
 class TestRandomUnimodular:
     def test_zero_word_is_identity(self):

@@ -275,10 +275,103 @@ class TestWitnessPostconditions:
         import glnz.involution as involution
 
         monkeypatch.setattr(
-            involution, "_modified_conjugate", lambda cb, changes: cb.U * cb.U
+            involution, "_modified_conjugate", lambda P, cb, inverse_rows, changes: cb.U * cb.U
         )
         with pytest.raises(RuntimeError, match=f"{message} witness postcondition violated"):
             witness(P)
+
+
+def old_modified_conjugate(cb, changes):
+    """U B' U^-1 formed densely, with a fresh inverse of U."""
+    rows = [list(r) for r in cb.block_matrix().rows]
+    for (i, j), x in changes.items():
+        rows[i][j] = x
+    return cb.U * IntMatrix(tuple(map(tuple, rows))) * cb.U.inverse()
+
+
+SWAP_SHAPES = [
+    (a, n - 2 * p - a, p)
+    for n in range(2, 11)
+    for p in range(1, n // 2 + 1)
+    for a in range(n - 2 * p + 1)
+]
+
+
+class TestLowRankWitnessOracle:
+    """The witnesses are P plus a rank-2 or rank-4 update built from rows
+    of U^-1 that canonical_form's own coordinates give; checked against
+    the dense product with a fresh inverse, on every shape with p > 0."""
+
+    @pytest.mark.parametrize("shape", SWAP_SHAPES, ids=str)
+    def test_matches_dense_conjugate(self, shape):
+        import glnz.involution as involution
+
+        a, b, p = shape
+        n = a + b + 2 * p
+        P = conj(canonical_block(a, b, p), random_unimodular(n, 8, 3, 1000 * n + 10 * a + p))
+        cb, inverse_rows = involution._canonical_form(P)
+        assert cb == canonical_form(P)
+        U_inv = cb.U.inverse()
+        assert tuple(inverse_rows(list(range(n)))) == U_inv.rows
+        assert inverse_rows([n - 1, 0]) == [U_inv.rows[n - 1], U_inv.rows[0]]
+
+        lo = a + b
+        W, PW = involution._order3_witness(P)
+        changes = {(lo, lo): 1, (lo, lo + 1): -1, (lo + 1, lo): 0, (lo + 1, lo + 1): -1}
+        assert W == order3_witness(P) == old_modified_conjugate(cb, changes)
+        assert PW == P * W
+        if n < 9 or (p == 1 and 0 in (a, b)):
+            return
+        changes = {}
+        for lo, _ in cb.layout.pairs[:2]:
+            changes[lo, lo + 1] = changes[lo + 1, lo] = -1
+        if p == 1:
+            changes[0, 0], changes[a, a] = -1, 1
+        W, PW = involution._four_involution_witness(P)
+        assert W == four_involution_witness(P) == old_modified_conjugate(cb, changes)
+        assert PW == P * W
+
+
+def non_involutions():
+    yield IntMatrix(((0, -1), (1, 0)))  # order 4
+    yield IntMatrix(((0, -1), (1, -1)))  # order 3
+    yield IntMatrix(((0, 0), (0, 0)))
+    yield IntMatrix.diagonal((2, 1))
+    yield IntMatrix(((1, 1), (0, 1)))  # unit shear
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        M = IntMatrix(tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)))
+        if not is_involution(M):
+            yield M
+
+
+class TestNonInvolutionsRejected:
+    """canonical_form squares P only when its construction or postcondition
+    fails, so every non-involution still ends in that check."""
+
+    @pytest.mark.parametrize("build", [canonical_form, order3_witness, four_involution_witness])
+    def test_rejected_after_failed_construction(self, monkeypatch, build):
+        import glnz.involution as involution
+
+        demanded = []
+        original = involution._demand_involution
+        monkeypatch.setattr(
+            involution, "_demand_involution", lambda M: demanded.append(M) or original(M)
+        )
+        for M in non_involutions():
+            demanded.clear()
+            with pytest.raises(ValueError, match="not an involution"):
+                build(M)
+            assert demanded == [M]
+
+    def test_involutions_are_not_squared(self, monkeypatch):
+        import glnz.involution as involution
+
+        monkeypatch.setattr(involution, "_demand_involution", pytest.fail)
+        for a, b, p in SWAP_SHAPES[:40]:
+            P = canonical_block(a, b, p)
+            assert canonical_form(P).profile == InvolutionProfile(a, b, p)
 
 
 class TestFourInvolutionWitness:
