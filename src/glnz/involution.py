@@ -205,8 +205,9 @@ def _lifted_basis(
     Each residue sits at its echelon pivot column of a GF(2) matrix that
     is the identity elsewhere; that matrix is invertible, and its lift T to
     SL(k, Z) is the change of basis.  T is a word of unit shears, so T^-1 is
-    the word reversed with each coefficient negated, one row operation per
-    shear on the coordinate rows.
+    the word reversed with each coefficient negated; applied to coordinate
+    rows from the left, that is one row subtraction per shear, in the
+    word's own order.
     """
     placed = _mod2_pivots(residues)
     if len(placed) != len(residues):
