@@ -199,9 +199,11 @@ class IntMatrix:
     def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
         cols = [_vec(c) for c in cols]
         n = len(cols)
+        if n == 0:
+            raise ValueError("matrix must be square and non-empty")
         if any(len(c) != n for c in cols):
             raise ValueError("columns do not form a square matrix")
-        return IntMatrix(tuple(tuple(c[i] for c in cols) for i in range(n)))
+        return _trusted(tuple(zip(*cols)))
 
     # -- basic queries ---------------------------------------------------
     @property
@@ -224,7 +226,8 @@ class IntMatrix:
         return self.rows == _identity_rows(len(self.rows))
 
     def mod(self, m: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(x % m for x in r) for r in self.rows))
+        m = operator.index(m)
+        return _trusted(tuple(tuple(x % m for x in r) for r in self.rows))
 
     # -- arithmetic ------------------------------------------------------
     def apply(self, v: Sequence[int]) -> Vector:

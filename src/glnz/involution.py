@@ -261,9 +261,10 @@ def _canonical_form(P: IntMatrix) -> tuple[CanonicalBasis, _InverseRows]:
 
 
 def _construct_canonical(P: IntMatrix) -> tuple[CanonicalBasis, _InverseRows]:
-    plus, minus = kernel_lattice(P.shifted(-1)), kernel_lattice(P.shifted(1))
-    res_plus = _coordinates(plus, P.shifted(1).columns())
-    res_minus = _coordinates(minus, P.shifted(-1).columns())  # = I - P mod 2
+    p_minus_i, p_plus_i = P.shifted(-1), P.shifted(1)
+    plus, minus = kernel_lattice(p_minus_i), kernel_lattice(p_plus_i)
+    res_plus = _coordinates(plus, p_plus_i.columns())
+    res_minus = _coordinates(minus, p_minus_i.columns())  # = I - P mod 2
     if res_plus is None or res_minus is None:
         raise RuntimeError("I + P and I - P do not map into the eigen lattices")
     picks = [j for j, _ in _mod2_pivots(res_plus)]

@@ -272,7 +272,7 @@ class TestElementOrder:
 
 
 class TestConstructors:
-    def test_identity_and_diagonal_match_the_validating_constructor(self):
+    def test_kernel_built_matrices_match_the_validating_constructor(self):
         for n in range(1, 7):
             eye = IntMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
             assert IntMatrix.identity(n) == eye and eye.is_identity()
@@ -281,6 +281,11 @@ class TestConstructors:
                 tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n))
             )
             assert not IntMatrix.diagonal([1] * (n - 1) + [-1]).is_identity()
+            cols = [tuple(range(j, j + n)) for j in range(n)]
+            assert IntMatrix.from_columns(cols) == IntMatrix(tuple(zip(*cols)))
+            assert IntMatrix.from_columns(cols).mod(3) == IntMatrix(
+                tuple(tuple(x % 3 for x in r) for r in zip(*cols))
+            )
 
     def test_bad_sizes_and_entries(self):
         for n in (0, -1):
@@ -292,6 +297,14 @@ class TestConstructors:
             IntMatrix.identity(2.0)
         with pytest.raises(TypeError):
             IntMatrix.diagonal((1, 2.0))
+        with pytest.raises(ValueError, match="non-empty"):
+            IntMatrix.from_columns([])
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix.from_columns([(1, 2)])
+        with pytest.raises(TypeError):
+            IntMatrix.from_columns([(1, 0), (0, 1.0)])
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2).mod(2.0)
 
 
 class TestRandomUnimodular:
