@@ -231,12 +231,6 @@ def _lifted_basis(
     return [new[t] for t in pivots], [new[t] for t in order[len(pivots) :]], lifted
 
 
-def _halve(v: list[int]) -> Vector:
-    if any(x & 1 for x in v):
-        raise RuntimeError("canonical basis inverse is not integral")
-    return tuple(x >> 1 for x in v)
-
-
 _InverseRows = Callable[[list[int]], list[Vector]]
 
 
@@ -292,7 +286,10 @@ def _construct_canonical(P: IntMatrix) -> tuple[CanonicalBasis, _InverseRows]:
         twice = beta_alpha[p:] + delta_gamma[p:]
         for beta, delta in zip(beta_alpha[:p], delta_gamma[:p]):
             twice += [[s + t for s, t in zip(beta, delta)], [s - t for s, t in zip(beta, delta)]]
-        return [_halve(twice[i]) for i in indices]
+        rows = [twice[i] for i in indices]
+        if any(x & 1 for r in rows for x in r):
+            raise RuntimeError("canonical basis inverse is not integral")
+        return [tuple(x >> 1 for x in r) for r in rows]
 
     return cb, inverse_rows
 
