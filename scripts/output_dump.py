@@ -11,7 +11,10 @@ Three sections, one line per output:
   cases and a few malformed or rejected inputs (among them integer strings
   with "_", spaces, "+" or non-ASCII digits), then ``canon`` and
   ``witness --order3`` on seeded involutions of rank 6 to 10 with 15- to
-  40-digit entries, where the Hermite steps of the kernel run long.
+  40-digit entries, where the Hermite steps of the kernel run long,
+  and ``classify``, ``canon``, ``witness --order3`` and ``gamma`` on two
+  rank-3 involutions with 2489- and 3489-digit entries, whose witness
+  entries fall under and over the int <-> str digit limit.
   Each ``canon`` and ``witness`` result that exits 0 is followed by a line
   saying whether it checks out;
 * the same for the commands that read no document: ``identities``,
@@ -129,6 +132,24 @@ def big_involutions() -> list:
     return out
 
 
+def over_limit_involutions() -> list:
+    """(name, JSON text) of U (1 + swap) U^-1 with U = E01(c) E12(c + 2)
+    E20(c + 4): c = 10^622 + 7 gives 2489-digit entries, c = 10^872 + 7
+    3489-digit ones and an order-three witness over the digit limit."""
+    from glnz.exactmat import IntMatrix
+    from glnz.involution import canonical_block
+
+    E = IntMatrix.elementary
+    out = []
+    for k in (622, 872):
+        c = 10**k + 7
+        U = E(3, 0, 1, c) * E(3, 1, 2, c + 2) * E(3, 2, 0, c + 4)
+        P = U * canonical_block(1, 0, 1) * U.inverse()
+        text = json.dumps({"n": 3, "rows": [[str(x) for x in r] for r in P.rows]})
+        out.append((f"rank3-c=10^{k}+7", text))
+    return out
+
+
 def row_pairs() -> list:
     """(a, c) inputs of ``lift --row``: a small grid with zero, negative,
     even a, odd c and non-coprime entries, then 40-digit pairs of each
@@ -149,14 +170,21 @@ def check(argv: list, text: str, stdout: str) -> str:
     from glnz.exactmat import element_order
     from glnz.involution import canonical_block, is_involution, profile
 
-    M = parse_matrix_document(json.loads(text))
-    out = json.loads(stdout)
+    # results may exceed the int <-> str digit limit; lifted only to decode
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        M = parse_matrix_document(json.loads(text))
+        out = json.loads(stdout)
+        decoded = {k: parse_matrix_document(v) for k, v in out.items()
+                   if k in ("U", "witness", "product")}
+    finally:
+        sys.set_int_max_str_digits(limit)
     if argv[0] == "canon":
-        U = parse_matrix_document(out["U"])
+        U = decoded["U"]
         ok = abs(U.det()) == 1 and M * U == U * canonical_block(*out["profile"])
     else:
-        W = parse_matrix_document(out["witness"])
-        product = parse_matrix_document(out["product"])
+        W, product = decoded["witness"], decoded["product"]
         ok = is_involution(W) and profile(W) == profile(M) and product == M * W
         if argv[1] == "--order3":
             ok = ok and element_order(product, 3) == 3
@@ -196,6 +224,8 @@ def main() -> int:
                 ["gamma", "--m", "2"], ["gamma", "--m", "3"])
     runs = [(name, text, commands) for name, text in documents()]
     runs += [(name, text, (["canon"], ["witness", "--order3"])) for name, text in big_involutions()]
+    runs += [(name, text, (["classify"], ["canon"], ["witness", "--order3"], ["gamma", "--m", "2"]))
+             for name, text in over_limit_involutions()]
     for name, text, argvs in runs:
         for argv in argvs:
             code, out, err = run_cli(argv, text)

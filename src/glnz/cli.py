@@ -9,6 +9,9 @@ error (a postcondition of the library failed, or a suite trial failed a
 postcondition or crashed; verify still prints its report, whose failure
 records carry a category: counterexample, postcondition or crash).
 Integers are JSON integers or strings of an optional "-" and ASCII digits.
+An input entry over Python's int <-> str digit limit (4300 digits by
+default) is a parse error; a result entry over it is written out exactly,
+in parts under the limit.  The process-wide limit is never changed.
 In-process callers of main share one parser, built on the first call.
 """
 
@@ -33,7 +36,14 @@ class ParseError(Exception):
 
 
 def _encode_int(x: int):
-    return x if _INT64_MIN <= x <= _INT64_MAX else str(x)
+    if _INT64_MIN <= x <= _INT64_MAX:
+        return x
+    try:
+        return str(x)
+    except ValueError:  # over the int <-> str digit limit: split by a power of ten
+        k = abs(x).bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
+        high, low = divmod(abs(x), 10**k)
+        return "-" * (x < 0) + str(_encode_int(high)) + str(_encode_int(low)).rjust(k, "0")
 
 
 def _decode_int(value) -> int:

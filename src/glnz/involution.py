@@ -175,11 +175,15 @@ def profile(P: IntMatrix) -> InvolutionProfile:
 def _rank_profile(P: IntMatrix) -> InvolutionProfile:
     """profile(P) for a P already known to be an involution."""
     n = P.n
-    p_minus_i = P.shifted(-1)
-    p = rank_mod2(p_minus_i)
-    a = n - rational_rank(p_minus_i) - p
-    b = n - rational_rank(P.shifted(1)) - p
-    if a < 0 or b < 0 or a + b + 2 * p != n:
+    return _profile_from_ranks(P, n - rational_rank(P.shifted(-1)), n - rational_rank(P.shifted(1)))
+
+
+def _profile_from_ranks(P: IntMatrix, plus_rank: int, minus_rank: int) -> InvolutionProfile:
+    """The profile of the involution P whose eigen lattices have ranks
+    a + p and b + p; p is the GF(2) rank of P - I."""
+    p = rank_mod2(P.shifted(-1))
+    a, b = plus_rank - p, minus_rank - p
+    if a < 0 or b < 0 or a + b + 2 * p != P.n:
         raise RuntimeError("inconsistent involution invariants")
     return InvolutionProfile(a, b, p)
 
@@ -313,16 +317,15 @@ def _modified_conjugate(
     P: IntMatrix,
     cb: CanonicalBasis,
     inverse_rows: _InverseRows,
-    changes: dict[tuple[int, int], int],
+    update: dict[tuple[int, int], int],
 ) -> IntMatrix:
-    """U B' U^-1, where B' is the canonical block of cb with the entries
-    at the given positions replaced: P plus the sum over them of
+    """U B' U^-1, where B' - B, for B the canonical block of cb, is the
+    given update by position: P plus the sum over its positions of
     (B'_ij - B_ij) U[:, i] (U^-1)[j, :], a low-rank update."""
-    B = cb.block_matrix().rows
-    S = sorted({k for ij in changes for k in ij})
-    delta = [[changes.get((i, j), B[i][j]) - B[i][j] for j in S] for i in S]
-    update = _matmul([[r[i] for i in S] for r in cb.U.rows], _matmul(delta, inverse_rows(S)))
-    return P + _trusted(update)
+    S = sorted({k for ij in update for k in ij})
+    delta = [[update.get((i, j), 0) for j in S] for i in S]
+    low_rank = _matmul([[r[i] for i in S] for r in cb.U.rows], _matmul(delta, inverse_rows(S)))
+    return P + _trusted(low_rank)
 
 
 def _order3_witness(P: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -332,7 +335,7 @@ def _order3_witness(P: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         raise ValueError("diagonalizable involution admits no order-three witness")
     lo, _ = cb.layout.pairs[0]
     witness = _modified_conjugate(
-        P, cb, inverse_rows, {(lo, lo): 1, (lo, lo + 1): -1, (lo + 1, lo): 0, (lo + 1, lo + 1): -1}
+        P, cb, inverse_rows, {(lo, lo): 1, (lo, lo + 1): -2, (lo + 1, lo): -1, (lo + 1, lo + 1): -1}
     )
     product = P * witness
     if (
@@ -364,12 +367,12 @@ def _four_involution_witness(P: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         raise ValueError("one-permutations admit no four-involution witness")
     if P.n < 9:
         raise ValueError("rank too small for a four-involution product")
-    changes = {}
+    update = {}
     for lo, _ in cb.layout.pairs[:2]:
-        changes[lo, lo + 1] = changes[lo + 1, lo] = -1
+        update[lo, lo + 1] = update[lo + 1, lo] = -2
     if prof.p == 1:
-        changes[0, 0], changes[prof.a, prof.a] = -1, 1
-    witness = _modified_conjugate(P, cb, inverse_rows, changes)
+        update[0, 0], update[prof.a, prof.a] = -2, 2
+    witness = _modified_conjugate(P, cb, inverse_rows, update)
     product = P * witness
     if (
         not is_involution(witness)

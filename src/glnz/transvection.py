@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactmat import IntMatrix, Lattice, Vector, _vec, content_and_primitive
-from .involution import EXTREMAL, _rank_profile, eigen_lattices
+from .involution import EXTREMAL, _profile_from_ranks, eigen_lattices
 
 __all__ = [
     "MutualSubgroup",
@@ -122,9 +122,10 @@ def mutual_subgroup(P: IntMatrix, Q: IntMatrix) -> MutualSubgroup | None:
         raise ValueError("involutions must be distinct")
     summands = []
     for M in (P, Q):
-        summands.append(eigen_lattices(M))  # checks that M is an involution
-        if _rank_profile(M).kind.name != EXTREMAL:
+        plus, minus = eigen_lattices(M)  # checks that M is an involution
+        if _profile_from_ranks(M, plus.rank, minus.rank).kind.name != EXTREMAL:
             raise ValueError("inputs must be extremal involutions")
+        summands.append((plus, minus))
     (p_plus, p_minus), (q_plus, q_minus) = summands
     if p_plus == q_plus:
         shared, side = p_plus, "plus"

@@ -148,6 +148,19 @@ def _unit(n: int, i: int) -> Vector:
     return tuple(int(t == i) for t in range(n))
 
 
+def _line(cols: tuple[Vector, ...], base: int, coeffs) -> list[int]:
+    """cols[base] plus the other columns, in order, times coeffs: a
+    negated line complementing the hyperplane of those other columns."""
+    others = cols[:base] + cols[base + 1 :]
+    return [x + sum(c * h[i] for c, h in zip(coeffs, others)) for i, x in enumerate(cols[base])]
+
+
+def _hyperplane(cols: tuple[Vector, ...], shifts) -> list[list[int]]:
+    """The columns after the first, each plus its shift times the first: a
+    fixed hyperplane complementing the line of the first column."""
+    return [[x + s * y for x, y in zip(h, cols[0])] for s, h in zip(shifts, cols[1:])]
+
+
 # --------------------------------------------------------------------------
 # suite bodies
 # --------------------------------------------------------------------------
@@ -189,12 +202,8 @@ def _suite_two_involution_products(n: int, trials: int, rng: random.Random) -> l
     a = 1 if (n - 1) % 2 == 0 else 2
     b = n - a
     rho0 = IntMatrix.diagonal([1] * a + [-1] * b)
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for blk in range(b // 2):
-        lo = a + 2 * blk
-        rows[lo][lo], rows[lo][lo + 1] = 0, -1
-        rows[lo + 1][lo], rows[lo + 1][lo + 1] = 1, 0
-    sigma0 = IntMatrix(tuple(tuple(r) for r in rows))
+    # each swap block times diag(1, -1) is the rotation [[0, -1], [1, 0]]
+    sigma0 = canonical_block(a, 0, b // 2) * IntMatrix.diagonal([1] * a + [1, -1] * (b // 2))
 
     def check(t: int, inputs: dict) -> None:
         if t % 2 == 0:
@@ -336,44 +345,29 @@ def _suite_shared_summand(n: int, trials: int, rng: random.Random) -> list[dict]
     is twice the content of the connecting coefficient vector."""
 
     def check(t: int, inputs: dict) -> None:
-        U = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
-        cols = [list(c) for c in U.columns()]
+        cols = random_unimodular(n, 8, 2, rng.randrange(1 << 30)).columns()
         coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
         if not any(coeffs):
             coeffs[rng.randrange(n - 1)] = rng.choice((1, 2, 3))
+        P = involution_from_splitting(cols[1:], [cols[0]])
         kind = t % 3
         if kind == 0:
             # shared fixed hyperplane, distinct negated lines
-            plus = cols[1:]
-            v1 = cols[0]
-            v2 = [cols[0][i] + sum(c * h[i] for c, h in zip(coeffs, plus)) for i in range(n)]
-            P = involution_from_splitting(plus, [v1])
-            Q = involution_from_splitting(plus, [v2])
-            expected_side, expected_shared = "plus", Lattice(n, tuple(plus))
+            Q = involution_from_splitting(cols[1:], [_line(cols, 0, coeffs)])
+            expected_side, expected_shared = "plus", Lattice(n, cols[1:])
         elif kind == 1:
             # shared negated line, distinct fixed hyperplanes
-            v = cols[0]
-            h1 = cols[1:]
-            h2 = [
-                [h[i] + c * v[i] for i in range(n)]
-                for c, h in zip(coeffs, h1)
-            ]
-            P = involution_from_splitting(h1, [v])
-            Q = involution_from_splitting(h2, [v])
-            expected_side, expected_shared = "minus", Lattice(n, (tuple(v),))
+            Q = involution_from_splitting(_hyperplane(cols, coeffs), [cols[0]])
+            expected_side, expected_shared = "minus", Lattice(n, cols[:1])
         else:
             # neither side shared
-            P = involution_from_splitting(cols[1:], [cols[0]])
-            v2 = [cols[0][i] + cols[1][i] for i in range(n)]
-            plus2 = [[cols[1][i] + 2 * cols[0][i] for i in range(n)]] + cols[2:]
-            Q = involution_from_splitting(plus2, [v2])
+            e = [1] + [0] * (n - 2)
+            plus2 = _hyperplane(cols, [2 * x for x in e])
+            Q = involution_from_splitting(plus2, [_line(cols, 0, e)])
             expected_side, expected_shared = None, None
         inputs["P"], inputs["Q"] = P, Q
-        for M in (P, Q):
-            if classify(M).name != EXTREMAL:
-                raise _TrialFailure("construction is not extremal")
-        # for a shared summand, mutual_subgroup checks that Q P is a
-        # transvection of even invariant and reports it as product_m
+        # mutual_subgroup checks that P and Q are extremal, and for a shared
+        # summand that Q P is a transvection of even invariant, product_m
         result = mutual_subgroup(P, Q)
         if expected_side is None:
             if result is not None:
@@ -398,63 +392,33 @@ def _suite_summand_encoding(n: int, trials: int, rng: random.Random) -> list[dic
     equality or an even transvection."""
 
     def check(t: int, inputs: dict) -> None:
-        U = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
-        cols = [list(c) for c in U.columns()]
-
-        def line(base: int, coeffs):
-            others = [c for i, c in enumerate(cols) if i != base]
-            return [
-                cols[base][i] + sum(c * h[i] for c, h in zip(coeffs, others))
-                for i in range(n)
-            ]
+        cols = random_unimodular(n, 8, 2, rng.randrange(1 << 30)).columns()
 
         def distinct_coeffs():
-            seen = set()
-            out = []
-            while len(out) < 4:
-                c = tuple(rng.randint(-2, 2) for _ in range(n - 1))
-                if c not in seen:
-                    seen.add(c)
-                    out.append(list(c))
-            return out
+            seen: dict = {}
+            while len(seen) < 4:
+                seen.setdefault(tuple(rng.randint(-2, 2) for _ in range(n - 1)))
+            return list(seen)
+
+        def line_pair(base: int, c1, c2):
+            plus = cols[:base] + cols[base + 1 :]
+            return tuple(involution_from_splitting(plus, [_line(cols, base, c)]) for c in (c1, c2))
+
+        def hyperplane_pair(s1, s2):
+            return tuple(
+                involution_from_splitting(_hyperplane(cols, s), [cols[0]]) for s in (s1, s2)
+            )
 
         c1, c2, c3, c4 = distinct_coeffs()
-        plus0 = [c for i, c in enumerate(cols) if i != 0]
-        pair_a = (
-            involution_from_splitting(plus0, [line(0, c1)]),
-            involution_from_splitting(plus0, [line(0, c2)]),
-        )
-        pair_b = (
-            involution_from_splitting(plus0, [line(0, c3)]),
-            involution_from_splitting(plus0, [line(0, c4)]),
-        )
-        plus1 = [c for i, c in enumerate(cols) if i != 1]
-        pair_c = (
-            involution_from_splitting(plus1, [line(1, c1)]),
-            involution_from_splitting(plus1, [line(1, c2)]),
-        )
+        pair_a, pair_b, pair_c = line_pair(0, c1, c2), line_pair(0, c3, c4), line_pair(1, c1, c2)
         inputs["a1"], inputs["b1"], inputs["c1"] = pair_a[0], pair_b[0], pair_c[0]
         if not shared_summand_predicate(pair_a, pair_b):
             raise _TrialFailure("pairs encoding one hyperplane were separated")
         if shared_summand_predicate(pair_a, pair_c):
             raise _TrialFailure("pairs encoding different hyperplanes were identified")
         # line-side encodings
-        def hyper(shift):
-            return [
-                [h[i] + s * cols[0][i] for i in range(n)]
-                for s, h in zip(shift, plus0)
-            ]
-
         s1, s2, s3, s4 = distinct_coeffs()
-        v = cols[0]
-        pair_d = (
-            involution_from_splitting(hyper(s1), [v]),
-            involution_from_splitting(hyper(s2), [v]),
-        )
-        pair_e = (
-            involution_from_splitting(hyper(s3), [v]),
-            involution_from_splitting(hyper(s4), [v]),
-        )
+        pair_d, pair_e = hyperplane_pair(s1, s2), hyperplane_pair(s3, s4)
         if not shared_summand_predicate(pair_d, pair_e):
             raise _TrialFailure("pairs encoding one line were separated")
         if t % 7 == 0:

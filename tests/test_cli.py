@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import random
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from glnz import congruence, involution, transvection, verify
-from glnz.cli import main, matrix_payload, parse_matrix_document
+from glnz.cli import _encode_int, main, matrix_payload, parse_matrix_document
 from glnz.exactmat import IntMatrix
 
 SWAP_DOC = '{"n": 2, "rows": [[0, 1], [1, 0]]}'
@@ -413,6 +414,56 @@ class TestInternalError:
         assert code == 5
         assert out == ""
         assert err == "internal error: factorization does not reproduce the input\n"
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the int <-> str digit limit for decoding; restored on exit, so
+    the CLI itself always runs under the default limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def rank3_involution(c):
+    """U (1 + swap) U^-1 with U = E01(c) E12(c + 2) E20(c + 4)."""
+    E = IntMatrix.elementary
+    U = E(3, 0, 1, c) * E(3, 1, 2, c + 2) * E(3, 2, 0, c + 4)
+    return U * involution.canonical_block(1, 0, 1) * U.inverse()
+
+
+class TestResultsOverDigitLimit:
+    """A result entry over the int <-> str digit limit is written out
+    exactly; the limit itself is left as it is."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [10**4300, 10**4300 - 1, -(10**9000) - 1, 7 * 10**5000 + 3, -(2**40000)],
+        ids=["10^4300", "10^4300-1", "-10^9000-1", "7*10^5000+3", "-2^40000"],
+    )
+    def test_encode_int_is_exact(self, x):
+        text = _encode_int(x)
+        with no_digit_limit():
+            assert text == str(x)
+
+    def test_order3_witness_of_3489_digit_input(self, capsys, monkeypatch):
+        # the witness is a conjugate of P, about 1.5 times P's digits
+        P = rank3_involution(10**872 + 7)
+        doc = json.dumps(matrix_payload(P))
+        code, out, err = run_cli(capsys, ["witness", "--order3"], doc, monkeypatch)
+        assert (code, err) == (0, "")
+        with no_digit_limit():
+            result = json.loads(out)
+            W = parse_matrix_document(result["witness"])
+            product = parse_matrix_document(result["product"])
+        assert max(len(str(abs(x))) for r in P.rows for x in r) == 3489
+        assert max(abs(x) for r in W.rows for x in r) >= 10**sys.get_int_max_str_digits()
+        assert (W * W).is_identity()
+        assert product == P * W
+        assert (product**3).is_identity()
 
 
 class TestFileInput:

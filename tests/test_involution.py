@@ -275,7 +275,7 @@ class TestWitnessPostconditions:
         import glnz.involution as involution
 
         monkeypatch.setattr(
-            involution, "_modified_conjugate", lambda P, cb, inverse_rows, changes: cb.U * cb.U
+            involution, "_modified_conjugate", lambda P, cb, inverse_rows, update: cb.U * cb.U
         )
         with pytest.raises(RuntimeError, match=f"{message} witness postcondition violated"):
             witness(P)

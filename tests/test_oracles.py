@@ -7,7 +7,8 @@ and symmetrically that of I - P is 1^p 2^b 0^(a+p).
 
 The integer kernel is checked the same way: ``det``, ``inverse`` and
 ``rational_rank`` on 1- to 40-digit entries against sympy's exact
-rational linear algebra.
+rational linear algebra, and ``row_hermite`` against sympy's Hermite
+normal form.
 """
 
 import random
@@ -15,9 +16,9 @@ import random
 import pytest
 
 sympy = pytest.importorskip("sympy")
-from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
 
-from glnz.exactmat import IntMatrix, random_unimodular, rational_rank  # noqa: E402
+from glnz.exactmat import IntMatrix, random_unimodular, rational_rank, row_hermite  # noqa: E402
 from glnz.involution import (  # noqa: E402
     InvolutionProfile,
     canonical_block,
@@ -107,3 +108,36 @@ def test_rational_rank_matches_sympy(seed):
                 for row in A
             ))
             assert rational_rank(M) == _sympy(M).rank()
+
+
+def sympy_row_hermite(rows):
+    """The nonzero rows of the row HNF, from sympy's column-style
+    hermite_normal_form: reverse the columns, transpose, and undo both on
+    the result, whose rows and columns then run in reverse."""
+    H = hermite_normal_form(sympy.Matrix(rows)[:, ::-1].T).T[::-1, ::-1]
+    return [[int(x) for x in H.row(i)] for i in range(H.rows)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_row_hermite_matches_sympy(seed):
+    rng = random.Random(400 + seed)
+    cases = 0
+    while cases < 100:
+        n = rng.randint(2, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if _sympy(IntMatrix(tuple(map(tuple, rows)))).det() != 0:
+            H, _, rank = row_hermite(rows)
+            assert rank == n and H == sympy_row_hermite(rows)
+            cases += 1
+    for m in range(1, 7):
+        for n in range(1, 7):
+            for k in range(min(m, n) + 1):
+                # an m x k times k x n product has rank at most k; sympy
+                # drops the zero rows that row_hermite keeps at the bottom
+                A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+                B = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(k)]
+                rows = [[sum(a * B[t][j] for t, a in enumerate(r)) for j in range(n)] for r in A]
+                H, _, rank = row_hermite(rows)
+                expected = sympy_row_hermite(rows)
+                assert rank == len(expected) and H[:rank] == expected
+                assert all(not any(r) for r in H[rank:])

@@ -231,3 +231,22 @@ class TestSharedSummandPredicate:
         )
         with pytest.raises(ValueError, match="side"):
             shared_summand_predicate(pair1, line_pair)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_profiles_come_from_the_eigen_lattices(self, monkeypatch, shared):
+        # the eigen lattices already have ranks a + p and b + p; only the
+        # GF(2) rank p is computed on top of them
+        import glnz.involution as involution
+
+        def rational_rank(M):
+            raise AssertionError("rational_rank called")
+
+        monkeypatch.setattr(involution, "rational_rank", rational_rank)
+        P = IntMatrix.diagonal((-1, 1, 1))
+        if shared:
+            Q = involution_from_splitting([(0, 1, 0), (0, 0, 1)], [(1, 2, 0)])
+        else:
+            Q = IntMatrix.diagonal((1, -1, 1))
+        assert (mutual_subgroup(P, Q) is not None) == shared
+        with pytest.raises(ValueError, match="extremal"):
+            mutual_subgroup(IntMatrix.diagonal((-1, -1, 1)), P)

@@ -61,6 +61,26 @@ def test_shared_summand_suite_at_documented_seed():
     assert run_suite("L1_7", 4, 1000, 42).passed
 
 
+def test_shared_summand_suite_squares_each_sample_once(monkeypatch):
+    # mutual_subgroup's own involution check is the only square of P and Q
+    from collections import Counter
+
+    from glnz.exactmat import IntMatrix
+
+    squares = Counter()
+    original = IntMatrix.__mul__
+
+    def mul(self, other):
+        if isinstance(other, IntMatrix) and other == self:
+            squares[self.rows] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", mul)
+    assert run_suite("L1_7", 4, 30, 42).passed
+    assert len(squares) == 60  # P and Q of every trial
+    assert set(squares.values()) == {1}
+
+
 def test_summand_predicate_agreement_on_five_hundred_pair_pairs():
     # every P1_8 trial compares at least three pair-pairs semantically and
     # syntactically, so 170 trials cover more than 500 comparisons
