@@ -231,6 +231,7 @@ class IntMatrix:
 
     # -- arithmetic ------------------------------------------------------
     def apply(self, v: Sequence[int]) -> Vector:
+        v = _vec(v)
         if len(v) != self.n:
             raise ValueError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
@@ -251,6 +252,8 @@ class IntMatrix:
     __matmul__ = __mul__
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         return _trusted(
@@ -258,6 +261,8 @@ class IntMatrix:
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         return _trusted(
@@ -444,6 +449,37 @@ def _mod2_pivots(vectors: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
                 kept.append((idx, h))
                 break
     return kept
+
+
+def _rank_mod3(M: IntMatrix) -> int:
+    """Rank of M over GF(3), bit-sliced (after Boothby and Bradshaw,
+    "Bitslicing and the Method of Four Russians over larger finite
+    fields"): a row is the pair of bit masks of its entries = 1 and = 2
+    mod 3, and one echelon pass pivots on the highest bit, as
+    ``_mod2_pivots`` does.  Each stored pivot row has a 1 at its pivot."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for row in M.rows:
+        ones = twos = 0
+        for j, x in enumerate(row):
+            r = x % 3
+            if r == 1:
+                ones |= 1 << j
+            elif r == 2:
+                twos |= 1 << j
+        while ones | twos:
+            h = (ones | twos).bit_length() - 1
+            if h not in pivots:
+                pivots[h] = (twos, ones) if twos >> h & 1 else (ones, twos)
+                break
+            # subtract the row's entry at h times the pivot row: add the
+            # pivot row negated (swapped masks) for a 1, as it is for a 2
+            b1, b2 = pivots[h][::-1] if ones >> h & 1 else pivots[h]
+            a_nz, b_nz = ones | twos, b1 | b2
+            ones, twos = (
+                (ones & ~b_nz) | (b1 & ~a_nz) | (twos & b2),
+                (twos & ~b_nz) | (b2 & ~a_nz) | (ones & b1),
+            )
+    return len(pivots)
 
 
 def rational_rank(M: IntMatrix) -> int:

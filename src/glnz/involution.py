@@ -10,6 +10,7 @@ the exact block matrix.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -22,11 +23,11 @@ from .exactmat import (
     _coordinates,
     _matmul,
     _mod2_pivots,
+    _rank_mod3,
     _trusted,
     element_order,
     kernel_lattice,
     rank_mod2,
-    rational_rank,
 )
 
 CENTRAL = "central"
@@ -167,15 +168,24 @@ def residue(P: IntMatrix) -> int:
 
 def profile(P: IntMatrix) -> InvolutionProfile:
     """Block sizes from ranks: the eigen lattices of P have ranks
-    n - rank_Q(P - I) = a + p and n - rank_Q(P + I) = b + p."""
+    n - rank(P - I) = a + p and n - rank(P + I) = b + p, the ranks being
+    equal over Q and over GF(3) (see ``_rank_profile``)."""
     _demand_involution(P)
     return _rank_profile(P)
 
 
 def _rank_profile(P: IntMatrix) -> InvolutionProfile:
-    """profile(P) for a P already known to be an involution."""
+    """profile(P) for a P already known to be an involution.
+
+    The ranks of P - I and P + I are read over GF(3), which is exact only
+    for an involution: x^2 - 1 has the distinct roots 1 and -1 in GF(3),
+    so P mod 3 is diagonalisable and its two GF(3) ranks sum to n.  The
+    two rational ranks sum to n as well, and neither GF(3) rank exceeds
+    its rational one, so each pair is equal.  A non-involution breaks
+    this: [[3]] has rational rank 1 and GF(3) rank 0.
+    """
     n = P.n
-    return _profile_from_ranks(P, n - rational_rank(P.shifted(-1)), n - rational_rank(P.shifted(1)))
+    return _profile_from_ranks(P, n - _rank_mod3(P.shifted(-1)), n - _rank_mod3(P.shifted(1)))
 
 
 def _profile_from_ranks(P: IntMatrix, plus_rank: int, minus_rank: int) -> InvolutionProfile:
@@ -238,9 +248,15 @@ def _lifted_basis(
 _InverseRows = Callable[[list[int]], list[Vector]]
 
 
+@functools.lru_cache(maxsize=1)
 def _canonical_form(P: IntMatrix) -> tuple[CanonicalBasis, _InverseRows]:
     """canonical_form(P), for a P not yet known to be an involution, and a
     function giving the rows of U^-1 at the given indices.
+
+    The last result is kept, keyed by P's value, so canonical_form(P) and
+    then a witness of the same P build it once.  A non-involution raises
+    and is never kept.  Sharing is safe: CanonicalBasis is frozen and
+    inverse_rows mutates only lists it builds itself.
 
     U^-1 v = (alpha, gamma, beta + delta, beta - delta)/2, the last two
     interleaved by swap pair, where alpha, beta are the coordinates of

@@ -611,3 +611,23 @@ class TestBoundaryValidation:
             IntMatrix.identity(2) + IntMatrix.identity(3)
         with pytest.raises(ValueError, match="dimension mismatch"):
             IntMatrix.identity(3) - IntMatrix.identity(2)
+
+    def test_sum_and_difference_with_a_non_matrix_raise_type_error(self):
+        M = IntMatrix.identity(2)
+        for other in (1, 0.5, (1, 0), [[1, 0], [0, 1]]):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                M + other
+            with pytest.raises(TypeError, match="unsupported operand"):
+                M - other
+            with pytest.raises(TypeError, match="unsupported operand"):
+                other - M
+
+    def test_product_with_a_vector_reads_integers(self):
+        M = IntMatrix(((2, 1), (0, 1)))
+        assert M * [True, 2] == M.apply((1, 2)) == (4, 2)
+        assert all(type(x) is int for x in M * [True, 2])
+        for v in ((1.5, 2), (1, 2.0), ("1", 2)):
+            with pytest.raises(TypeError):
+                M * v
+            with pytest.raises(TypeError):
+                M.apply(v)

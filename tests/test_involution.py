@@ -374,6 +374,58 @@ class TestNonInvolutionsRejected:
             assert canonical_form(P).profile == InvolutionProfile(a, b, p)
 
 
+class TestCanonicalFormMemo:
+    """_canonical_form keeps its last result only, so back-to-back analyses
+    of one matrix build its canonical basis once."""
+
+    @pytest.fixture(autouse=True)
+    def constructions(self, monkeypatch):
+        import glnz.involution as involution
+
+        involution._canonical_form.cache_clear()
+        built = []
+        original = involution._construct_canonical
+        monkeypatch.setattr(
+            involution, "_construct_canonical", lambda M: built.append(M) or original(M)
+        )
+        yield built
+        involution._canonical_form.cache_clear()
+
+    @pytest.mark.parametrize(
+        "witness,P",
+        [
+            (order3_witness, conj(canonical_block(2, 1, 2), random_unimodular(7, 12, 3, 5))),
+            (four_involution_witness, conj(canonical_block(4, 1, 2), random_unimodular(9, 12, 3, 6))),
+        ],
+    )
+    def test_witness_after_canonical_form_reuses_it(self, constructions, witness, P):
+        cb = canonical_form(P)
+        W = witness(P)
+        assert constructions == [P]
+        assert canonical_form(P) == cb and witness(P) == W
+        assert constructions == [P]
+
+    def test_one_entry_only(self, constructions):
+        P, Q = canonical_block(1, 1, 1), canonical_block(0, 1, 1)
+        canonical_form(P)
+        canonical_form(Q)
+        order3_witness(P)
+        assert constructions == [P, Q, P]
+
+    def test_equal_values_share_the_entry(self, constructions):
+        P = canonical_block(1, 0, 1)
+        canonical_form(P)
+        canonical_form(IntMatrix(tuple(map(list, P.rows))))
+        assert constructions == [P]
+
+    def test_non_involution_raises_on_every_repeat(self, constructions):
+        M = IntMatrix(((0, -1), (1, 0)))
+        for build in (canonical_form, canonical_form, order3_witness, canonical_form):
+            with pytest.raises(ValueError, match="not an involution"):
+                build(M)
+        assert constructions == [M] * 4
+
+
 class TestFourInvolutionWitness:
     def test_two_swaps(self):
         P = canonical_block(5, 0, 2)  # two swap pairs and five fixed vectors

@@ -235,13 +235,14 @@ class TestSharedSummandPredicate:
     @pytest.mark.parametrize("shared", [True, False])
     def test_profiles_come_from_the_eigen_lattices(self, monkeypatch, shared):
         # the eigen lattices already have ranks a + p and b + p; only the
-        # GF(2) rank p is computed on top of them
+        # GF(2) rank p is computed on top of them, not the GF(3) ranks that
+        # profile reads a + p and b + p from
         import glnz.involution as involution
 
-        def rational_rank(M):
-            raise AssertionError("rational_rank called")
+        def rank_mod3(M):
+            raise AssertionError("_rank_mod3 called")
 
-        monkeypatch.setattr(involution, "rational_rank", rational_rank)
+        monkeypatch.setattr(involution, "_rank_mod3", rank_mod3)
         P = IntMatrix.diagonal((-1, 1, 1))
         if shared:
             Q = involution_from_splitting([(0, 1, 0), (0, 0, 1)], [(1, 2, 0)])
