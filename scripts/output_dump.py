@@ -9,7 +9,8 @@ Three sections, one line per output:
   documents: canonical blocks, diagonalizable and swap-pair (p > 0)
   conjugates, non-involutions, matrices singular mod 2, gamma-level edge
   cases and a few malformed or rejected inputs (among them integer strings
-  with "_", spaces, "+" or non-ASCII digits), then ``canon`` and
+  with "_", spaces, "+" or non-ASCII digits, and matrices of determinant
+  0, -1 and +-2 that ``factor`` rejects), then ``canon`` and
   ``witness --order3`` on seeded involutions of rank 6 to 10 with 15- to
   40-digit entries, where the Hermite steps of the kernel run long,
   and ``classify``, ``canon``, ``witness --order3`` and ``gamma`` on two
@@ -103,6 +104,17 @@ def documents() -> list:
         out.append((f"lax-literal#{k}", text))
     out.append(("not-json", "{"))
     out.append(("ragged", '{"n": 2, "rows": [[1, 0], [0]]}'))
+    # determinant 0, -1, 2 and -2 at n = 2..6, dense from shear words on
+    # both sides, and a determinant -1 word with 30-digit entries
+    det_rng = random.Random(15)
+    for n in range(2, 7):
+        for d in (0, -1, 2, -2):
+            left, right = (random_elementary_word(n, 8, 3, det_rng.randrange(1 << 30))
+                           for _ in "lr")
+            M = left * IntMatrix.diagonal([d] + [1] * (n - 1)) * right
+            out.append((f"det{d}-n{n}", doc(M)))
+    M = random_elementary_word(4, 12, 10**30, 17) * IntMatrix.diagonal((1, 1, 1, -1))
+    out.append(("det-1-30-digit-word", doc(M)))
     return out
 
 

@@ -74,17 +74,16 @@ def in_gamma(M: IntMatrix, m: int) -> bool:
 def elementary_factorization(M: IntMatrix) -> Factorization:
     """Write a determinant-1 matrix as an exact product of shears.
 
-    Gauss-Jordan over Z: euclidean row reduction brings each pivot to 1
-    (the trailing block keeps determinant 1, so each pivot column has
-    coprime entries), then the column is cleared.  The recorded operations
-    invert to the factorization.  No length bound is promised; the length
-    is whatever the reduction produces.
+    Gauss-Jordan over Z: euclidean row reduction brings each pivot to 1,
+    then the column is cleared.  Shears keep the determinant, +-1 times the
+    product of the pivots, so det M != 1 exactly when a column is zero from
+    the diagonal down, a pivot is not +-1, or the last pivot is -1.  The
+    recorded operations invert to the factorization.  No length bound is
+    promised; the length is whatever the reduction produces.
     """
     n = M.n
     if n < 2:
         raise ValueError("rank must be at least 2")
-    if M.det() != 1:
-        raise ValueError("determinant must be 1")
     A = [list(r) for r in M.rows]
     ops: list[tuple[int, int, int]] = []
 
@@ -96,10 +95,10 @@ def elementary_factorization(M: IntMatrix) -> Factorization:
     for col in range(n):
         i0 = _euclid_column(A, col, col, lambda i, j, q: rowop(i, j, -q))
         if i0 is None or abs(A[i0][col]) != 1:
-            raise RuntimeError("pivot reduction failed")
+            raise ValueError("determinant must be 1")
         if A[i0][col] == -1:
             if col == n - 1:
-                raise RuntimeError("trailing pivot cannot be -1 for determinant 1")
+                raise ValueError("determinant must be 1")
             other = col if i0 != col else col + 1
             rowop(other, i0, 1)
             rowop(i0, other, -2)

@@ -251,23 +251,18 @@ class IntMatrix:
 
     __matmul__ = __mul__
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+    def _entrywise(self, other, op) -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        return _trusted(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
-        )
+        return _trusted(tuple(tuple(map(op, r, s)) for r, s in zip(self.rows, other.rows)))
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return _trusted(
-            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self) -> "IntMatrix":
         return _trusted(tuple(tuple(-a for a in r) for r in self.rows))
@@ -522,8 +517,8 @@ def _random_unimodular_pair(
     if n < 1 or entry_bound < 1 or word_length < 0:
         raise ValueError("parameters out of range")
     rng = random.Random(seed)
-    cols = _identity_columns(n)  # columns of U
-    inv = _identity_columns(n)  # rows of U^-1
+    cols = list(_identity_rows(n))  # columns of U: I is its own transpose
+    inv = list(_identity_rows(n))  # rows of U^-1
     for _ in range(word_length):
         if n >= 2 and rng.random() < 0.75:
             i, j = rng.sample(range(n), 2)
@@ -564,7 +559,7 @@ def _shear_word(n: int, shears: Iterable[tuple[int, int, int]]) -> IntMatrix:
     n = operator.index(n)
     if n < 1:
         raise ValueError("matrix must be square and non-empty")
-    cols = _identity_columns(n)
+    cols = list(_identity_rows(n))  # columns of I: I is its own transpose
     for i, j, c in shears:
         i, j, c = operator.index(i), operator.index(j), operator.index(c)
         if i == j:
@@ -575,11 +570,7 @@ def _shear_word(n: int, shears: Iterable[tuple[int, int, int]]) -> IntMatrix:
     return _trusted(tuple(zip(*cols)))
 
 
-def _identity_columns(n: int) -> list[list[int]]:
-    return [[int(i == j) for i in range(n)] for j in range(n)]
-
-
-def _shear_columns(cols: list[list[int]], i: int, j: int, c: int) -> None:
+def _shear_columns(cols: list[Sequence[int]], i: int, j: int, c: int) -> None:
     """cols <- cols @ (I + c*E_ij): column j gains c times column i."""
     cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
 

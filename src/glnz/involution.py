@@ -435,5 +435,5 @@ def involution_from_splitting(
         V_inv = V.inverse()  # certifies |det V| = 1
     except ValueError:
         raise ValueError("columns do not split Z^n") from None
-    D = IntMatrix.diagonal([1] * len(plus_cols) + [-1] * len(minus_cols))
-    return V * D * V_inv
+    # V D, for D = diag(I, -I), is V with the minus columns negated
+    return IntMatrix.from_columns(list(plus_cols) + [[-x for x in c] for c in minus_cols]) * V_inv

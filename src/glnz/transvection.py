@@ -83,10 +83,8 @@ def recognize_transvection(M: IntMatrix) -> TransvectionData | None:
         delta.append(q)
     if sum(d * e for d, e in zip(delta, x)) != 0:
         return None
-    lead = next(d for d in delta if d)
-    if lead < 0:
-        delta = [-d for d in delta]
-        x = tuple(-e for e in x)
+    # x is column j0 of M - I over its positive content, so delta's first
+    # nonzero entry, at j0, is that content: the sign is already normalized
     m, _ = content_and_primitive(delta)
     return TransvectionData(x=x, delta=tuple(delta), m=m)
 
@@ -134,7 +132,7 @@ def mutual_subgroup(P: IntMatrix, Q: IntMatrix) -> MutualSubgroup | None:
     else:
         return None
     data = recognize_transvection(Q * P)
-    if data is None or data.m % 2 or data.m == 0:
+    if data is None or data.m % 2:
         raise RuntimeError(
             "product of extremal involutions with a shared eigen-summand "
             "must be a transvection of even invariant"

@@ -48,7 +48,8 @@ from .involution import (
     profile,
     standard_commuting_family,
 )
-from .transvection import mutual_subgroup, recognize_transvection, shared_summand_predicate
+from .transvection import _is_even_transvection, mutual_subgroup, recognize_transvection
+from .transvection import shared_summand_predicate
 
 __all__ = ["SUITE_IDS", "SuiteReport", "run_suite"]
 
@@ -109,11 +110,9 @@ def _run_trials(indices: Iterable[int], check: Callable[[int, dict], None]) -> l
     return failures
 
 
-def _rand_u(
-    rng: random.Random, n: int, word_length: int = 8, entry_bound: int = 2
-) -> tuple[IntMatrix, IntMatrix]:
+def _rand_u(rng: random.Random, n: int, word_length: int = 8) -> tuple[IntMatrix, IntMatrix]:
     """A seeded random unimodular U and its inverse."""
-    U, U_inv = _random_unimodular_pair(n, word_length, entry_bound, rng.randrange(1 << 30))
+    U, U_inv = _random_unimodular_pair(n, word_length, 2, rng.randrange(1 << 30))
     if not (U * U_inv).is_identity():
         raise RuntimeError("carried inverse of the random unimodular matrix is wrong")
     return U, U_inv
@@ -123,11 +122,12 @@ def _conj(M: IntMatrix, U: IntMatrix, U_inv: IntMatrix) -> IntMatrix:
     return U * M * U_inv
 
 
-def _sample_involution(rng: random.Random, n: int, a: int, b: int, p: int) -> IntMatrix:
+def _sample_involution(
+    rng: random.Random, n: int, a: int, b: int, p: int, word_length: int = 8
+) -> IntMatrix:
     """Seeded unimodular conjugate of the canonical (a, b, p) involution;
     the preserved profile is asserted."""
-    seed_matrix = canonical_block(a, b, p)
-    P = _conj(seed_matrix, *_rand_u(rng, n))
+    P = _conj(canonical_block(a, b, p), *_rand_u(rng, n, word_length))
     prof = profile(P)
     if (prof.a, prof.b, prof.p) != (a, b, p):
         raise _TrialFailure("conjugation did not preserve the profile")
@@ -243,17 +243,13 @@ def _suite_four_involutions(n: int, trials: int, rng: random.Random) -> list[dic
     non-diagonalizable involution the constructive witness does produce a
     4-involution."""
     identity = IntMatrix.identity(n)
-    # negated rank 1 on even trials, fixed rank 1 on odd ones
-    pi_seeds = (canonical_block(n - 2, 0, 1), canonical_block(0, n - 2, 1))
 
     def check(t: int, inputs: dict) -> None:
-        pi_seed = pi_seeds[t % 2]
-        pi1 = _conj(pi_seed, *_rand_u(rng, n, word_length=6))
-        pi2 = _conj(pi_seed, *_rand_u(rng, n, word_length=6))
+        # negated rank 1 on even trials, fixed rank 1 on odd ones
+        shape = (n - 2, 0, 1) if t % 2 == 0 else (0, n - 2, 1)
+        pi1 = _sample_involution(rng, n, *shape, word_length=6)
+        pi2 = _sample_involution(rng, n, *shape, word_length=6)
         inputs["pi1"], inputs["pi2"] = pi1, pi2
-        for pi in (pi1, pi2):
-            if classify(pi).name != ONE_PERMUTATION:
-                raise _TrialFailure("sample left the single-swap class")
         prod = pi1 * pi2
         if rational_rank(identity - prod) > 2:
             raise _TrialFailure("defect of the product exceeds rank two")
@@ -372,8 +368,7 @@ def _suite_shared_summand(n: int, trials: int, rng: random.Random) -> list[dict]
         if expected_side is None:
             if result is not None:
                 raise _TrialFailure("summand reported for a disjoint pair")
-            product_data = recognize_transvection(Q * P)
-            if product_data is not None and product_data.m % 2 == 0:
+            if _is_even_transvection(Q * P):
                 raise _TrialFailure("disjoint pair with an even-transvection product")
         else:
             if result is None:
@@ -480,11 +475,8 @@ def _suite_rank3_identities(n: int, trials: int, rng: random.Random) -> list[dic
         shear = IntMatrix(((1, 1), (0, 1)))
         if set(roots) != {shear, -shear}:
             raise _TrialFailure("unexpected square roots of the double shear")
-        solutions = braid_involution_solutions()
-        if len(solutions) != 4:
-            raise _TrialFailure("wrong number of braid-relation involutions")
         D = IntMatrix.diagonal((1, -1))
-        for R in solutions:
+        for R in braid_involution_solutions():
             data = recognize_transvection((D * R) ** 2)
             if data is None or data.m != 2:
                 raise _TrialFailure("braid solution square is not a 2-transvection")

@@ -10,6 +10,7 @@ import pytest
 from glnz import congruence, involution, transvection, verify
 from glnz.cli import _encode_int, main, matrix_payload, parse_matrix_document
 from glnz.exactmat import IntMatrix
+from test_congruence import determinant_not_one_inputs, refuse_det  # noqa: F401 (a fixture)
 
 SWAP_DOC = '{"n": 2, "rows": [[0, 1], [1, 0]]}'
 
@@ -110,6 +111,28 @@ class TestClassifyCommand:
         assert code == 2
         assert out == ""
         assert err == f"parse error: bad integer literal: {literal!r}\n"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 0], [0, True]], "matrix entries must be integers"),
+            ([[False, 0], [0, 1]], "matrix entries must be integers"),
+            ([[1, 0], [0]], "every row must have 2 entries"),
+            ([[1, 0, 0], [0, 1, 0, 0], [0, 0, 1]], "every row must have 3 entries"),
+        ],
+    )
+    def test_boolean_entry_or_wrong_row_length_exits_2(self, capsys, monkeypatch, rows, message):
+        # JSON true and false decode to Python bools, which are ints; a bad
+        # row length is caught even when the row count is right
+        from glnz.cli import ParseError
+
+        doc = {"n": len(rows), "rows": rows}
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_matrix_document(doc)
+        code, out, err = run_cli(capsys, ["classify"], json.dumps(doc), monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: {message}\n"
 
     def test_decimal_strings_accepted(self, capsys, monkeypatch):
         doc = json.dumps({"n": 2, "rows": [["-1", "-0"], ["007", "1"]]})
@@ -238,6 +261,14 @@ class TestFactorCommand:
     def test_determinant_minus_one_exits_3(self, capsys, monkeypatch):
         code, _, _ = run_cli(capsys, ["factor"], SWAP_DOC, monkeypatch)
         assert code == 3
+
+    def test_determinant_not_one_exits_3_without_computing_it(
+        self, capsys, monkeypatch, refuse_det
+    ):
+        for M in determinant_not_one_inputs():
+            doc = json.dumps(matrix_payload(M))
+            code, out, err = run_cli(capsys, ["factor"], doc, monkeypatch)
+            assert (code, out, err) == (3, "", "error: determinant must be 1\n")
 
 
 class TestLiftCommand:

@@ -21,6 +21,35 @@ from glnz.involution import profile
 from glnz.transvection import recognize_transvection
 
 
+def determinant_not_one_inputs() -> list:
+    """Matrices of determinant 0, -1, 2 and -2 at n = 2..6, dense from
+    shear words on both sides, small ones that end the reduction at each
+    of its three rejections, and a determinant -1 word with 30-digit
+    entries."""
+    rng = random.Random(15)
+    out = [
+        IntMatrix(((1, 1), (1, 1))),
+        IntMatrix(((2, 0), (0, 1))),
+        IntMatrix(((1, 0), (0, -1))),
+        IntMatrix(((0, 1), (1, 0))),
+    ]
+    for n in range(2, 7):
+        for d in (0, -1, 2, -2):
+            left, right = (random_elementary_word(n, 8, 3, rng.randrange(1 << 30)) for _ in "lr")
+            out.append(left * IntMatrix.diagonal([d] + [1] * (n - 1)) * right)
+    big = random_elementary_word(4, 12, 10**30, 17) * IntMatrix.diagonal((1, 1, 1, -1))
+    assert max(len(str(abs(x))) for r in big.rows for x in r) >= 30
+    return out + [big]
+
+
+@pytest.fixture
+def refuse_det(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(IntMatrix, "det", refuse)
+
+
 class TestInGamma:
     def test_identity_in_every_level(self):
         for m in range(2, 8):
@@ -106,6 +135,19 @@ class TestElementaryFactorization:
     def test_rejects_determinant_minus_one(self):
         with pytest.raises(ValueError, match="determinant"):
             elementary_factorization(IntMatrix(((0, 1), (1, 0))))
+
+    def test_rejects_every_determinant_but_one_without_computing_it(self, refuse_det):
+        # the reduction decides det M = 1: a column zero from the diagonal
+        # down, a pivot other than +-1, or a trailing pivot -1
+        for M in determinant_not_one_inputs():
+            with pytest.raises(ValueError, match="^determinant must be 1$"):
+                elementary_factorization(M)
+
+    def test_determinant_one_computes_no_determinant(self, refuse_det):
+        rng = random.Random(16)
+        for n in range(2, 7):
+            M = random_elementary_word(n, 20, 10**30, rng.randrange(1 << 30))
+            assert elementary_factorization(M).product() == M
 
     def test_level_two_membership_matches_mod2_factor_product(self):
         rng = random.Random(13)

@@ -454,6 +454,11 @@ class TestFourInvolutionWitness:
         with pytest.raises(ValueError, match="one-permutation"):
             four_involution_witness(canonical_block(7, 0, 1))
 
+    def test_diagonalizable_rejected(self):
+        P = conj(canonical_block(5, 4, 0), random_unimodular(9, 10, 2, 8))
+        with pytest.raises(ValueError, match="^involution must be non-diagonalizable$"):
+            four_involution_witness(P)
+
     def test_small_rank_rejected(self):
         with pytest.raises(ValueError, match="rank too small"):
             four_involution_witness(canonical_block(3, 2, 1))

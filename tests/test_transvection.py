@@ -94,6 +94,15 @@ class TestRecognizeTransvection:
         assert data.delta == (1, 0, 0)
         assert data.m == 1
 
+    def test_negative_leading_covector_entry_is_normalized(self):
+        # delta = (0, -2, 3): the sign moves into x, and M is rebuilt exactly
+        M = make_transvection((0, -2, 3), (1, 0, 0))
+        data = recognize_transvection(M)
+        assert data.delta == (0, 2, -3)
+        assert data.x == (-1, 0, 0)
+        assert data.m == 1
+        assert data.matrix() == M
+
     def test_rejects_involutions_and_higher_defect(self):
         assert recognize_transvection(IntMatrix(((0, 1), (1, 0)))) is None
         assert recognize_transvection(IntMatrix(((1, 1), (1, 2)))) is None
