@@ -21,7 +21,15 @@ Three sections, one line per output:
 * the same for the commands that read no document: ``identities``,
   ``lift --row`` on a grid of (a, c) pairs (valid and rejected, small and
   40-digit, of every sign, c = 0 among them) and ``verify`` on each SMOKE
-  configuration.
+  configuration;
+* integer arguments: ``lift --row``, ``gamma --m`` and ``verify --n``,
+  ``--trials`` and ``--seed`` with spellings that ``int()`` takes but an
+  entry may not have ("+3", " 3", "0_3", non-ASCII digits), and
+  ``gamma --m`` at and beyond the int64 bounds;
+* every SMOKE configuration at one seed under each of three injected
+  faults, one per failure category: ``verify.order3_witness`` raising
+  ``TypeError``, ``verify.profile`` returning the profile of the
+  identity, and ``verify.mutual_subgroup`` returning ``None``.
 
 Run it on two checkouts and diff the files:
 
@@ -176,6 +184,49 @@ def row_pairs() -> list:
     return grid + big
 
 
+def lax_spellings(value: int) -> list:
+    """Strings int() reads as value that are not an optional "-" and ASCII
+    digits."""
+    arabic = "".join(chr(0x660 + int(d)) for d in str(value))
+    return [f"+{value}", f" {value}", f"{value} ", f"0_{value}", arabic]
+
+
+def argv_runs() -> list:
+    """(argv, stdin text) of integer arguments: lax spellings of values
+    every version runs quickly, and levels at the int64 bounds."""
+    member = '{"n": 2, "rows": [[3, 4], [2, 3]]}'
+    runs = []
+    for lax in lax_spellings(3):
+        runs += [(["lift", "--row", lax, "2"], ""), (["lift", "--row", "5", lax], ""),
+                 (["gamma", "--m", lax], member)]
+        for k in range(3):  # --n, --trials, --seed
+            args = ["3", "2", "9"]
+            args[k] = lax
+            runs.append((["verify", "--suite", "MU_SURJ", "--n", args[0], "--trials", args[1],
+                          "--seed", args[2]], ""))
+    for m in (2**63 - 1, 2**63, 10**20, 2 * 10**40):
+        runs.append((["gamma", "--m", str(m)], member))
+    return runs
+
+
+FAULTS = ("order3_witness", "profile", "mutual_subgroup")
+
+
+def faulty(name: str):
+    """The replacement of glnz.verify.<name> for an injected fault."""
+    from glnz import verify
+    from glnz.exactmat import IntMatrix
+
+    if name == "order3_witness":
+        def order3_witness(P):
+            raise TypeError("injected: unsupported operand")
+        return order3_witness
+    if name == "profile":
+        real = verify.profile
+        return lambda P: real(IntMatrix.identity(P.n))
+    return lambda P, Q: None
+
+
 def check(argv: list, text: str, stdout: str) -> str:
     """Whether a canon or witness result holds for its input."""
     from glnz.cli import parse_matrix_document
@@ -205,6 +256,15 @@ def check(argv: list, text: str, stdout: str) -> str:
     return f"check {'ok' if ok else 'FAILED'}"
 
 
+def without_elapsed(argv: list, code: int, out: str) -> str:
+    """stdout, with elapsed_ms dropped from a verify report."""
+    if argv[0] != "verify" or code not in (0, 4, 5):
+        return out
+    report = json.loads(out)
+    report.pop("elapsed_ms")
+    return json.dumps(report, sort_keys=True)
+
+
 def run_cli(argv: list, text: str = "") -> tuple[int, str, str]:
     from glnz import cli
 
@@ -214,6 +274,8 @@ def run_cli(argv: list, text: str = "") -> tuple[int, str, str]:
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
+    except SystemExit as exc:  # a usage error
+        code = exc.code
     finally:
         sys.stdin = saved
     return code, stdout.getvalue().strip(), stderr.getvalue().strip()
@@ -221,6 +283,7 @@ def run_cli(argv: list, text: str = "") -> tuple[int, str, str]:
 
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
+    from glnz import verify
     from glnz.verify import run_suite
 
     configs = smoke_configs()
@@ -249,11 +312,24 @@ def main() -> int:
               for s, n, t in configs]
     for argv in fixed:
         code, out, err = run_cli(argv)
-        if argv[0] == "verify" and code in (0, 4, 5):
-            report = json.loads(out)
-            report.pop("elapsed_ms")
-            out = json.dumps(report, sort_keys=True)
+        out = without_elapsed(argv, code, out)
         print(f"cli {' '.join(argv)} exit={code} stdout={out} stderr={err}")
+    for argv, text in argv_runs():
+        code, out, err = run_cli(argv, text)
+        out = without_elapsed(argv, code, out)
+        print(f"argv {json.dumps(argv)} exit={code} stdout={out} stderr={json.dumps(err)}")
+
+    for name in FAULTS:
+        real = getattr(verify, name)
+        setattr(verify, name, faulty(name))
+        try:
+            for suite, n, trials in configs:
+                report = run_suite(suite, n, trials, 9).to_jsonable()
+                report.pop("elapsed_ms")
+                print(f"fault {name} suite {suite} n={n} trials={trials} seed=9 "
+                      f"{json.dumps(report, sort_keys=True)}")
+        finally:
+            setattr(verify, name, real)
     return 0
 
 

@@ -8,7 +8,8 @@ stderr.  Exit codes: 0 success, 2 parse error, 3 precondition violation,
 error (a postcondition of the library failed, or a suite trial failed a
 postcondition or crashed; verify still prints its report, whose failure
 records carry a category: counterexample, postcondition or crash).
-Integers are JSON integers or strings of an optional "-" and ASCII digits.
+Integers are JSON integers or strings of an optional "-" and ASCII digits;
+integer arguments on the command line follow the same rule.
 An input entry over Python's int <-> str digit limit (4300 digits by
 default) is a parse error; a result entry over it is written out exactly,
 in parts under the limit.  The process-wide limit is never changed.
@@ -59,6 +60,14 @@ def _decode_int(value) -> int:
                 pass
         raise ParseError(f"bad integer literal: {value!r}")
     raise ParseError(f"bad matrix entry: {value!r}")
+
+
+def _argv_int(text: str) -> int:
+    """An integer command-line argument, under the rule for entries."""
+    try:
+        return _decode_int(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def matrix_payload(M: IntMatrix) -> dict:
@@ -120,7 +129,8 @@ def cmd_classify(args) -> int:
     data = transvection.recognize_transvection(M)
     report["is_transvection"] = data is not None
     report["transvection"] = None if data is None else {
-        "x": _vector_payload(data.x), "delta": _vector_payload(data.delta), "m": data.m,
+        "x": _vector_payload(data.x), "delta": _vector_payload(data.delta),
+        "m": _encode_int(data.m),
     }
     # M is in Gamma(m) exactly when m divides every entry of M - I
     g, _ = content_and_primitive([x for row in M.shifted(-1).rows for x in row])
@@ -178,7 +188,8 @@ def cmd_lift(args) -> int:
     if args.row is not None:
         a, c = args.row
         M = congruence.lift_row_to_sl3(a, c)
-        _emit({"mode": "row", "a": a, "c": c, "matrix": matrix_payload(M)})
+        _emit({"mode": "row", "a": _encode_int(a), "c": _encode_int(c),
+               "matrix": matrix_payload(M)})
         return 0
     Mbar = _read_document(args.file)
     M = congruence.lift_mod2(Mbar)
@@ -216,7 +227,7 @@ def cmd_witness(args) -> int:
 def cmd_gamma(args) -> int:
     M = _read_document(args.file)
     member = congruence.in_gamma(M, args.m)
-    _emit({"level": args.m, "member": member})
+    _emit({"level": _encode_int(args.m), "member": member})
     return 0
 
 
@@ -276,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="lift mod-2 matrices or (odd, even) rows")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mod2", action="store_true", help="lift an invertible mod-2 matrix")
-    group.add_argument("--row", nargs=2, type=int, metavar=("A", "C"),
+    group.add_argument("--row", nargs=2, type=_argv_int, metavar=("A", "C"),
                        help="complete a coprime odd/even column in rank 3")
     _add_matrix_input(p)
     p.set_defaults(handler=cmd_lift)
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("gamma", help="principal congruence subgroup membership")
-    p.add_argument("--m", type=int, required=True, help="congruence level (>= 2)")
+    p.add_argument("--m", type=_argv_int, required=True, help="congruence level (>= 2)")
     _add_matrix_input(p)
     p.set_defaults(handler=cmd_gamma)
 
@@ -298,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", required=True, choices=list(verify.SUITE_IDS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_argv_int, required=True)
+    p.add_argument("--trials", type=_argv_int, required=True)
+    p.add_argument("--seed", type=_argv_int, required=True)
     p.set_defaults(handler=cmd_verify)
 
     return parser

@@ -3,12 +3,15 @@
 Each suite binds one structural claim about involutions, transvections or
 congruence subgroups of GL(n, Z) to an executable, replayable check.
 Reports are deterministic functions of (suite, n, trials, seed) apart from
-the wall-clock field; failures carry the offending input matrices and a
+the wall-clock field; failures carry the trial's whole sample and a
 category: counterexample, postcondition (a library self-check) or crash.
 
-Sampling never leaves the intended conjugacy class: every random element
-is a seeded unimodular conjugate of an explicit canonical matrix, and the
-preserved profile is asserted per trial.
+Every suite is a sampler, which makes all of a trial's rng draws and
+returns the sample by name, and a checker, which draws nothing and raises
+on failure; one trial loop runs them.  Sampling never leaves the intended
+conjugacy class: every random element is a seeded unimodular conjugate of
+an explicit canonical matrix, and the sampler asserts the preserved
+profile.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from .exactmat import (
     Lattice,
     Vector,
     _basis_completion_pair,
+    _identity_rows,
     _random_unimodular_pair,
     _shear_word,
+    _trusted,
     content_and_primitive,
     element_order,
     rank_mod2,
@@ -42,7 +47,6 @@ from .involution import (
     canonical_block,
     classify,
     four_involution_witness,
-    involution_from_splitting,
     is_involution,
     order3_witness,
     profile,
@@ -82,22 +86,33 @@ class SuiteReport:
 
 
 class _TrialFailure(Exception):
-    """The claim under test failed on the trial's inputs: a counterexample."""
+    """The claim under test failed on the trial's sample: a counterexample.
+    Only checkers raise it; a sampler's self-check raises RuntimeError."""
 
 
-def _run_trials(indices: Iterable[int], check: Callable[[int, dict], None]) -> list[dict]:
-    """Run check(t, inputs) for every trial index t.  The check records the
-    matrices it samples in inputs and raises to fail; the failure record
-    keeps those inputs and a category.  Later trials still run."""
+def _jsonable(value):
+    """A sampled value as JSON: a matrix as its rows, a sequence element by
+    element."""
+    if isinstance(value, IntMatrix):
+        return [list(r) for r in value.rows]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def _run_trials(indices: Iterable[int], sample: Callable, check: Callable) -> list[dict]:
+    """Run check(t, **sample(t)) for every trial index t.  A failure record
+    keeps the whole sample and a category; later trials still run."""
     failures = []
     for t in indices:
-        inputs: dict = {}
+        drawn: dict = {}
         try:
-            check(t, inputs)
+            drawn = sample(t)
+            check(t, **drawn)
             continue
         except _TrialFailure as exc:
             category, reason = "counterexample", str(exc)
-        except RuntimeError as exc:  # a library self-check failed
+        except RuntimeError as exc:  # a library or sampler self-check failed
             category, reason = "postcondition", str(exc)
         except Exception as exc:
             category, reason = "crash", str(exc)
@@ -105,7 +120,7 @@ def _run_trials(indices: Iterable[int], check: Callable[[int, dict], None]) -> l
             "trial": t,
             "reason": reason,
             "category": category,
-            "inputs": {k: [list(r) for r in M.rows] for k, M in inputs.items()},
+            "inputs": {k: _jsonable(v) for k, v in drawn.items()},
         })
     return failures
 
@@ -130,74 +145,71 @@ def _sample_involution(
     P = _conj(canonical_block(a, b, p), *_rand_u(rng, n, word_length))
     prof = profile(P)
     if (prof.a, prof.b, prof.p) != (a, b, p):
-        raise _TrialFailure("conjugation did not preserve the profile")
+        raise RuntimeError("conjugation did not preserve the profile")
     return P
 
 
 def _embed2(block: IntMatrix, n: int) -> IntMatrix:
     """The top-left 2x2 block of block, (+) identity on the remaining
     n - 2 coordinates."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(2):
-        for j in range(2):
-            rows[i][j] = block.rows[i][j]
-    return IntMatrix(tuple(tuple(r) for r in rows))
-
-
-def _unit(n: int, i: int) -> Vector:
-    return tuple(int(t == i) for t in range(n))
+    identity = _identity_rows(n)
+    return _trusted(tuple(block.rows[i][:2] + identity[i][2:] for i in range(2)) + identity[2:])
 
 
 def _line(cols: tuple[Vector, ...], base: int, coeffs) -> list[int]:
-    """cols[base] plus the other columns, in order, times coeffs: a
-    negated line complementing the hyperplane of those other columns."""
+    """cols[base] plus the other vectors, in order, times coeffs."""
     others = cols[:base] + cols[base + 1 :]
     return [x + sum(c * h[i] for c, h in zip(coeffs, others)) for i, x in enumerate(cols[base])]
 
 
-def _hyperplane(cols: tuple[Vector, ...], shifts) -> list[list[int]]:
-    """The columns after the first, each plus its shift times the first: a
-    fixed hyperplane complementing the line of the first column."""
-    return [[x + s * y for x, y in zip(h, cols[0])] for s, h in zip(shifts, cols[1:])]
+def _reflection(line, covector) -> IntMatrix:
+    """I - 2 line covector: the extremal involution negating line and
+    fixing ker covector.  covector . line == 1 is checked; it gives Q^2 = I
+    and Z^n = Z line (+) ker covector."""
+    if sum(map(operator.mul, line, covector)) != 1:
+        raise RuntimeError("reflection covector does not take 1 on its line")
+    return _trusted(tuple(
+        tuple(int(i == j) - 2 * x * y for j, y in enumerate(covector)) for i, x in enumerate(line)
+    ))
 
 
 # --------------------------------------------------------------------------
-# suite bodies
+# suites: each takes (n, rng), computes its fixed data once and
+# returns (sample, check)
 # --------------------------------------------------------------------------
 
 
-def _suite_order3(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_order3(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Order-three products: constructive witness for non-diagonalizable
     involutions; never order three for products of two conjugates of a
     sign-diagonalizable involution (each trial samples five such pairs)."""
 
-    def check(t: int, inputs: dict) -> None:
+    def sample(t: int) -> dict:
         p = rng.randint(1, n // 2)
         rem = n - 2 * p
         a = rng.randint(0, rem)
         P = _sample_involution(rng, n, a, rem - a, p)
-        inputs["P"] = P
-        # the witness's postcondition checks that P * witness has order three
-        inputs["witness"] = order3_witness(P)
+        pairs = []
         for _ in range(5):
-            signs = [rng.choice((1, -1)) for _ in range(n)]
-            D = IntMatrix.diagonal(signs)
-            phi1 = _conj(D, *_rand_u(rng, n))
-            phi2 = _conj(D, *_rand_u(rng, n))
+            D = IntMatrix.diagonal([rng.choice((1, -1)) for _ in range(n)])
+            pairs.append((_conj(D, *_rand_u(rng, n)), _conj(D, *_rand_u(rng, n))))
+        return {"P": P, "pairs": pairs}
+
+    def check(t: int, P: IntMatrix, pairs) -> None:
+        # the witness's postcondition checks that P * witness has order three
+        order3_witness(P)
+        for phi1, phi2 in pairs:
             if element_order(phi1 * phi2, 3) == 3:
-                inputs["phi1"], inputs["phi2"] = phi1, phi2
-                raise _TrialFailure(
-                    "product of diagonalizable conjugates has order three"
-                )
-    return _run_trials(range(trials), check)
+                raise _TrialFailure("product of diagonalizable conjugates has order three")
+
+    return sample, check
 
 
-def _suite_two_involution_products(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_two_involution_products(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Products of two conjugates of an extremal involution: whenever the
     product is an involution it negates exactly two basis directions.
     Constructive half: an involution fixing a minimal-rank summand and
     negating an even-rank one is a square (rotation blocks)."""
-    extremal_seed = canonical_block(n - 1, 1, 0)
     # square-root branch: even negated rank, smallest fixed rank
     a = 1 if (n - 1) % 2 == 0 else 2
     b = n - a
@@ -205,38 +217,33 @@ def _suite_two_involution_products(n: int, trials: int, rng: random.Random) -> l
     # each swap block times diag(1, -1) is the rotation [[0, -1], [1, 0]]
     sigma0 = canonical_block(a, 0, b // 2) * IntMatrix.diagonal([1] * a + [1, -1] * (b // 2))
 
-    def check(t: int, inputs: dict) -> None:
-        if t % 2 == 0:
+    def sample(t: int) -> dict:
+        # U (I - 2 e_k e_k^T) U^-1: coordinate reflections conjugated by U
+        if t % 2 == 0:  # two coordinates, one basis
             U, U_inv = _rand_u(rng, n)
-            i, j = rng.sample(range(n), 2)
-            d1, d2 = [1] * n, [1] * n
-            d1[i] = -1
-            d2[j] = -1
-            phi1 = _conj(IntMatrix.diagonal(d1), U, U_inv)
-            phi2 = _conj(IntMatrix.diagonal(d2), U, U_inv)
-        else:
-            phi1 = _conj(extremal_seed, *_rand_u(rng, n))
-            phi2 = _conj(extremal_seed, *_rand_u(rng, n))
-        inputs["phi1"], inputs["phi2"] = phi1, phi2
+            bases = [(U, U_inv, k) for k in rng.sample(range(n), 2)]
+        else:  # the last coordinate, two bases
+            bases = [(*_rand_u(rng, n), n - 1) for _ in range(2)]
+        phi1, phi2 = (_reflection(U.column(k), U_inv.rows[k]) for U, U_inv, k in bases)
         for phi in (phi1, phi2):
             if classify(phi).name != EXTREMAL:
-                raise _TrialFailure("sample left the extremal class")
+                raise RuntimeError("sample left the extremal class")
+        W, W_inv = _rand_u(rng, n)
+        return {"phi1": phi1, "phi2": phi2,
+                "rho": _conj(rho0, W, W_inv), "sigma": _conj(sigma0, W, W_inv)}
+
+    def check(t: int, phi1: IntMatrix, phi2: IntMatrix, rho: IntMatrix, sigma: IntMatrix) -> None:
         prod = phi1 * phi2
         if not prod.is_identity() and is_involution(prod):
             if classify(prod) != InvolutionKind(GAMMA_INVOLUTION, 2):
-                inputs["product"] = prod
-                raise _TrialFailure(
-                    "involution in the product set is not a 2-involution"
-                )
-        W, W_inv = _rand_u(rng, n)
-        rho, sigma = _conj(rho0, W, W_inv), _conj(sigma0, W, W_inv)
-        inputs["rho"], inputs["sigma"] = rho, sigma
+                raise _TrialFailure("involution in the product set is not a 2-involution")
         if sigma * sigma != rho:
             raise _TrialFailure("rotation construction is not a square root")
-    return _run_trials(range(trials), check)
+
+    return sample, check
 
 
-def _suite_four_involutions(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_four_involutions(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Products of two conjugates of a single-swap involution with a rank-1
     eigen-summand never negate four independent directions (the defect of
     the product has rational rank at most 2); for every other
@@ -244,25 +251,24 @@ def _suite_four_involutions(n: int, trials: int, rng: random.Random) -> list[dic
     4-involution."""
     identity = IntMatrix.identity(n)
 
-    def check(t: int, inputs: dict) -> None:
+    def sample(t: int) -> dict:
         # negated rank 1 on even trials, fixed rank 1 on odd ones
         shape = (n - 2, 0, 1) if t % 2 == 0 else (0, n - 2, 1)
         pi1 = _sample_involution(rng, n, *shape, word_length=6)
         pi2 = _sample_involution(rng, n, *shape, word_length=6)
-        inputs["pi1"], inputs["pi2"] = pi1, pi2
+        # an involution eligible for the constructive witness
+        p = rng.randint(1, 3)
+        rem = n - 2 * p
+        a = rng.randint(1, rem - 1) if p == 1 else rng.randint(0, rem)
+        return {"pi1": pi1, "pi2": pi2, "P": _sample_involution(rng, n, a, rem - a, p)}
+
+    def check(t: int, pi1: IntMatrix, pi2: IntMatrix, P: IntMatrix) -> None:
         prod = pi1 * pi2
         if rational_rank(identity - prod) > 2:
             raise _TrialFailure("defect of the product exceeds rank two")
         if not prod.is_identity() and is_involution(prod):
             if classify(prod) == InvolutionKind(GAMMA_INVOLUTION, 4):
-                inputs["product"] = prod
                 raise _TrialFailure("product of single-swap conjugates is a 4-involution")
-        # constructive witness for an eligible involution
-        p = rng.randint(1, 3)
-        rem = n - 2 * p
-        a = rng.randint(1, rem - 1) if p == 1 else rng.randint(0, rem)
-        P = _sample_involution(rng, n, a, rem - a, p)
-        inputs["P"] = P
         # the witness's postcondition checks that P * witness is a 4-involution
         four_involution_witness(P)
         if t % 10 == 0:
@@ -272,7 +278,8 @@ def _suite_four_involutions(n: int, trials: int, rng: random.Random) -> list[dic
                 pass
             else:
                 raise _TrialFailure("witness accepted a single-swap involution")
-    return _run_trials(range(trials), check)
+
+    return sample, check
 
 
 def _random_2x2_involution(rng: random.Random) -> IntMatrix:
@@ -290,7 +297,7 @@ def _random_2x2_involution(rng: random.Random) -> IntMatrix:
     return IntMatrix(((a, b), (c, -a)))
 
 
-def _suite_commutant_shape(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_commutant_shape(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Commutant of a fixed 2-transvection inside the products of the base
     extremal involution with involutions preserving the negated plane:
     exactly the elements whose 2x2 block is [[e, b], [0, e]], whose squares
@@ -299,22 +306,21 @@ def _suite_commutant_shape(n: int, trials: int, rng: random.Random) -> list[dict
     theta = _embed2(IntMatrix.diagonal((-1, -1)), n)
     tau = _embed2(IntMatrix(((1, 2), (0, 1))), n)
 
-    def check(t: int, inputs: dict) -> None:
+    def sample(t: int) -> dict:
         if t % 2 == 0:
             e = rng.choice((1, -1))
-            b = rng.randint(-6, 6)
-            block = IntMatrix(((e, b), (0, -e)))
+            block = IntMatrix(((e, rng.randint(-6, 6)), (0, -e)))
         else:
             block = _random_2x2_involution(rng)
-        rho = _embed2(block, n)
-        inputs["rho"] = rho
+        return {"rho": _embed2(block, n)}
+
+    def check(t: int, rho: IntMatrix) -> None:
         prof = profile(rho)
         if rho * theta != theta * rho or prof != profile(theta * rho):
             raise _TrialFailure("sample does not properly commute with the base")
         if prof.kind.name not in (EXTREMAL, ONE_PERMUTATION):
             raise _TrialFailure("sample is neither extremal nor a single swap")
         s = phi * rho
-        inputs["s"] = s
         commutes = s * tau == tau * s
         upper = (
             s.rows[1][0] == 0
@@ -332,62 +338,60 @@ def _suite_commutant_shape(n: int, trials: int, rng: random.Random) -> list[dict
                 data = recognize_transvection(square)
                 if data is None or data.m != 2 * abs(bb):
                     raise _TrialFailure("square is not an even transvection")
-    return _run_trials(range(trials), check)
+
+    return sample, check
 
 
-def _suite_shared_summand(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_shared_summand(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Two distinct extremal involutions share an eigen-summand exactly
     when their product is a transvection of even invariant; the invariant
     is twice the content of the connecting coefficient vector."""
 
-    def check(t: int, inputs: dict) -> None:
-        cols = random_unimodular(n, 8, 2, rng.randrange(1 << 30)).columns()
+    def sample(t: int) -> dict:
+        U, U_inv = _rand_u(rng, n)
         coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
         if not any(coeffs):
             coeffs[rng.randrange(n - 1)] = rng.choice((1, 2, 3))
-        P = involution_from_splitting(cols[1:], [cols[0]])
+        cols, rows = U.columns(), U_inv.rows
         kind = t % 3
-        if kind == 0:
-            # shared fixed hyperplane, distinct negated lines
-            Q = involution_from_splitting(cols[1:], [_line(cols, 0, coeffs)])
-            expected_side, expected_shared = "plus", Lattice(n, cols[1:])
-        elif kind == 1:
-            # shared negated line, distinct fixed hyperplanes
-            Q = involution_from_splitting(_hyperplane(cols, coeffs), [cols[0]])
-            expected_side, expected_shared = "minus", Lattice(n, cols[:1])
-        else:
-            # neither side shared
-            e = [1] + [0] * (n - 2)
-            plus2 = _hyperplane(cols, [2 * x for x in e])
-            Q = involution_from_splitting(plus2, [_line(cols, 0, e)])
-            expected_side, expected_shared = None, None
-        inputs["P"], inputs["Q"] = P, Q
+        if kind == 0:  # shared fixed hyperplane, distinct negated lines
+            Q = _reflection(_line(cols, 0, coeffs), rows[0])
+        elif kind == 1:  # shared negated line, distinct fixed hyperplanes
+            Q = _reflection(cols[0], _line(rows, 0, [-c for c in coeffs]))
+        else:  # neither side shared
+            Q = _reflection(_line(cols, 0, [1]), [2 * y - x for x, y in zip(rows[0], rows[1])])
+        return {"U": U, "coeffs": coeffs, "P": _reflection(cols[0], rows[0]), "Q": Q}
+
+    def check(t: int, U: IntMatrix, coeffs, P: IntMatrix, Q: IntMatrix) -> None:
         # mutual_subgroup checks that P and Q are extremal, and for a shared
         # summand that Q P is a transvection of even invariant, product_m
         result = mutual_subgroup(P, Q)
-        if expected_side is None:
+        if t % 3 == 2:
             if result is not None:
                 raise _TrialFailure("summand reported for a disjoint pair")
             if _is_even_transvection(Q * P):
                 raise _TrialFailure("disjoint pair with an even-transvection product")
-        else:
-            if result is None:
-                raise _TrialFailure("shared summand missed")
-            if result.side != expected_side or result.shared != expected_shared:
-                raise _TrialFailure("wrong shared summand")
-            expected_m = 2 * content_and_primitive(coeffs)[0]
-            if result.product_m != expected_m:
-                raise _TrialFailure("product invariant differs from construction")
-    return _run_trials(range(trials), check)
+            return
+        if result is None:
+            raise _TrialFailure("shared summand missed")
+        cols = U.columns()
+        expected = ("plus", Lattice(n, cols[1:])) if t % 3 == 0 else ("minus", Lattice(n, cols[:1]))
+        if (result.side, result.shared) != expected:
+            raise _TrialFailure("wrong shared summand")
+        if result.product_m != 2 * content_and_primitive(coeffs)[0]:
+            raise _TrialFailure("product invariant differs from construction")
+
+    return sample, check
 
 
-def _suite_summand_encoding(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_summand_encoding(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Pairs of extremal involutions encode direct summands: two pairs
     determine the same summand exactly when every cross product is an
     equality or an even transvection."""
 
-    def check(t: int, inputs: dict) -> None:
-        cols = random_unimodular(n, 8, 2, rng.randrange(1 << 30)).columns()
+    def sample(t: int) -> dict:
+        U, U_inv = _rand_u(rng, n)
+        cols, rows = U.columns(), U_inv.rows
 
         def distinct_coeffs():
             seen: dict = {}
@@ -396,24 +400,23 @@ def _suite_summand_encoding(n: int, trials: int, rng: random.Random) -> list[dic
             return list(seen)
 
         def line_pair(base: int, c1, c2):
-            plus = cols[:base] + cols[base + 1 :]
-            return tuple(involution_from_splitting(plus, [_line(cols, base, c)]) for c in (c1, c2))
+            return tuple(_reflection(_line(cols, base, c), rows[base]) for c in (c1, c2))
 
         def hyperplane_pair(s1, s2):
-            return tuple(
-                involution_from_splitting(_hyperplane(cols, s), [cols[0]]) for s in (s1, s2)
-            )
+            return tuple(_reflection(cols[0], _line(rows, 0, [-x for x in s])) for s in (s1, s2))
 
         c1, c2, c3, c4 = distinct_coeffs()
-        pair_a, pair_b, pair_c = line_pair(0, c1, c2), line_pair(0, c3, c4), line_pair(1, c1, c2)
-        inputs["a1"], inputs["b1"], inputs["c1"] = pair_a[0], pair_b[0], pair_c[0]
+        s1, s2, s3, s4 = distinct_coeffs()
+        return {"pair_a": line_pair(0, c1, c2), "pair_b": line_pair(0, c3, c4),
+                "pair_c": line_pair(1, c1, c2),
+                "pair_d": hyperplane_pair(s1, s2), "pair_e": hyperplane_pair(s3, s4)}
+
+    def check(t: int, pair_a, pair_b, pair_c, pair_d, pair_e) -> None:
         if not shared_summand_predicate(pair_a, pair_b):
             raise _TrialFailure("pairs encoding one hyperplane were separated")
         if shared_summand_predicate(pair_a, pair_c):
             raise _TrialFailure("pairs encoding different hyperplanes were identified")
         # line-side encodings
-        s1, s2, s3, s4 = distinct_coeffs()
-        pair_d, pair_e = hyperplane_pair(s1, s2), hyperplane_pair(s3, s4)
         if not shared_summand_predicate(pair_d, pair_e):
             raise _TrialFailure("pairs encoding one line were separated")
         if t % 7 == 0:
@@ -423,16 +426,33 @@ def _suite_summand_encoding(n: int, trials: int, rng: random.Random) -> list[dic
                 pass
             else:
                 raise _TrialFailure("side mismatch was not rejected")
-    return _run_trials(range(trials), check)
+
+    return sample, check
 
 
-def _suite_commuting_family(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_commuting_family(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """The n coordinate-negating involutions form a maximal commuting
     family of extremal involutions: exhaustively over sign matrices, and
-    by rejection of random conjugates, its extremal centralizer is itself."""
+    by rejection of random conjugates, its extremal centralizer is itself.
+    The exhaustive pass is trial -1 and samples nothing."""
     family = standard_commuting_family(n)
 
-    def sign_matrices(t: int, inputs: dict) -> None:
+    def sample(t: int) -> dict:
+        if t < 0:
+            return {}
+        p = rng.randint(0, n // 2)
+        rem = n - 2 * p
+        a = rng.randint(0, rem)
+        return {"P": _sample_involution(rng, n, a, rem - a, p)}
+
+    def check(t: int, P: IntMatrix | None = None) -> None:
+        if t >= 0:
+            if all(P * f == f * P for f in family) and classify(P).name == EXTREMAL:
+                if P not in family:
+                    raise _TrialFailure(
+                        "extremal involution commutes with the family but is not in it"
+                    )
+            return
         if len(family) != n:
             raise _TrialFailure("family has the wrong size")
         # a member commutes with every sign matrix exactly when it is diagonal
@@ -440,8 +460,7 @@ def _suite_commuting_family(n: int, trials: int, rng: random.Random) -> list[dic
             raise _TrialFailure("sign matrix fails to commute with the family")
         members = 0
         for mask in range(1 << n):
-            signs = [(-1 if (mask >> i) & 1 else 1) for i in range(n)]
-            D = IntMatrix.diagonal(signs)
+            D = IntMatrix.diagonal([(-1 if (mask >> i) & 1 else 1) for i in range(n)])
             if classify(D).name == EXTREMAL:
                 members += 1
                 if D not in family:
@@ -449,27 +468,15 @@ def _suite_commuting_family(n: int, trials: int, rng: random.Random) -> list[dic
         if members != n:
             raise _TrialFailure("wrong number of extremal sign matrices")
 
-    def check(t: int, inputs: dict) -> None:
-        p = rng.randint(0, n // 2)
-        rem = n - 2 * p
-        a = rng.randint(0, rem)
-        P = _sample_involution(rng, n, a, rem - a, p)
-        inputs["P"] = P
-        if all(P * f == f * P for f in family) and classify(P).name == EXTREMAL:
-            if P not in family:
-                raise _TrialFailure(
-                    "extremal involution commutes with the family but is not in it"
-                )
-    # the exhaustive pass runs once, before the trials, as trial -1
-    return _run_trials(range(-1, 0), sign_matrices) + _run_trials(range(trials), check)
+    return sample, check
 
 
-def _suite_rank3_identities(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_rank3_identities(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Exact rank-2 and rank-3 identities: braid-relation involutions and
     their transvection squares, unipotent square roots, and the commutator
     discrimination of the unit shear."""
 
-    def check(t: int, inputs: dict) -> None:
+    def check(t: int) -> None:
         commutator_identities()
         roots = unipotent_sqrt_sl2(IntMatrix(((1, 2), (0, 1))))
         shear = IntMatrix(((1, 1), (0, 1)))
@@ -482,8 +489,8 @@ def _suite_rank3_identities(n: int, trials: int, rng: random.Random) -> list[dic
                 raise _TrialFailure("braid solution square is not a 2-transvection")
             if profile(R) != profile(IntMatrix(((0, 1), (1, 0)))):
                 raise _TrialFailure("braid solution is not swap-conjugate")
-    # fixed identities: one trial, whatever the trial count
-    return _run_trials(range(1), check)
+
+    return lambda t: {}, check
 
 
 def _random_gamma2(rng: random.Random, n: int, length: int = 10) -> tuple[IntMatrix, IntMatrix]:
@@ -508,23 +515,29 @@ def _line_mover(target: Vector, i: int, n: int) -> IntMatrix:
         partner = (i + 1) % n
         return IntMatrix.diagonal([a if r in (i, partner) else 1 for r in range(n)])
     c2, g = content_and_primitive(rest)
-    V, V_inv = _basis_completion_pair([_unit(n, i), g])
+    V, V_inv = _basis_completion_pair([_identity_rows(n)[i], g])
     core = _embed2(lift_row_to_sl3(a, c2), n)
     return V * core * V_inv
 
 
-def _suite_congruence_summands(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_congruence_summands(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Level-2 congruence membership through rank-1 and corank-1 summands:
     a member moves every coordinate line and hyperplane exactly like a
     constructed level-2 element; a non-member breaks the parity pattern of
     the coefficients on some coordinate pair."""
-    hyperplanes = [Lattice(n, tuple(_unit(n, j) for j in range(n) if j != i)) for i in range(n)]
+    identity = _identity_rows(n)
+    hyperplanes = [Lattice(n, identity[:i] + identity[i + 1 :]) for i in range(n)]
 
-    def check(t: int, inputs: dict) -> None:
+    def sample(t: int) -> dict:
         sigma, sigma_inv = _random_gamma2(rng, n)
-        inputs["sigma"] = sigma
         if not in_gamma(sigma, 2):
-            raise _TrialFailure("sampled element is not a level-2 member")
+            raise RuntimeError("sampled element is not a level-2 member")
+        outside = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
+        if in_gamma(outside, 2):
+            outside = outside * IntMatrix.elementary(n, 0, 1, 1)
+        return {"sigma": sigma, "sigma_inv": sigma_inv, "outside": outside}
+
+    def check(t: int, sigma: IntMatrix, sigma_inv: IntMatrix, outside: IntMatrix) -> None:
         for i in range(n):
             mover = _line_mover(sigma.column(i), i, n)
             if mover.column(i) != sigma.column(i):
@@ -537,51 +550,52 @@ def _suite_congruence_summands(n: int, trials: int, rng: random.Random) -> list[
                 raise _TrialFailure("hyperplane mover leaves the congruence subgroup")
             if sigma * hyperplanes[i] != rho * hyperplanes[i]:
                 raise _TrialFailure("hyperplane images differ")
-        outside = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
-        if in_gamma(outside, 2):
-            outside = outside * IntMatrix.elementary(n, 0, 1, 1)
-        inputs["outside"] = outside
         # some entry must differ in parity from the identity's
         if all(outside.rows[i][j] % 2 == (i == j) for i in range(n) for j in range(n)):
             raise _TrialFailure("non-member shows no parity violation")
-    return _run_trials(range(trials), check)
+
+    return sample, check
 
 
-def _suite_mod2_lifting(n: int, trials: int, rng: random.Random) -> list[dict]:
+def _suite_mod2_lifting(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Every invertible matrix over GF(2) lifts to SL(n, Z) with the exact
     mod-2 reduction."""
 
-    def check(t: int, inputs: dict) -> None:
+    def sample(t: int) -> dict:
         while True:
-            rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
-            Mbar = IntMatrix(tuple(tuple(r) for r in rows))
+            Mbar = IntMatrix(tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(n)))
             if rank_mod2(Mbar) == n:
-                break
-        inputs["Mbar"] = Mbar
+                return {"Mbar": Mbar}
+
+    def check(t: int, Mbar: IntMatrix) -> None:
         # the postcondition of lift_mod2 checks det 1 and the mod-2 reduction
-        lift_mod2(rows)
-    return _run_trials(range(trials), check)
+        lift_mod2(Mbar)
+
+    return sample, check
 
 
-_SUITES: dict[str, tuple[Callable, int, int | None, str]] = {
-    "L1_3": (_suite_order3, 2, None,
+# suite id -> (suite, trial indices from the trial count, n_min, n_max, window)
+_SUITES: dict[str, tuple[Callable, Callable[[int], range], int, int | None, str]] = {
+    "L1_3": (_suite_order3, range, 2, None,
              "n >= 2; order-three products are impossible for sign-diagonalizable involutions"),
-    "L1_4_partial": (_suite_two_involution_products, 5, None,
+    "L1_4_partial": (_suite_two_involution_products, range, 5, None,
                      "n >= 5; 2-involutions need negated rank 2 below fixed rank; "
                      "square-root branch uses the smallest fixed rank of matching parity"),
-    "L1_5": (_suite_four_involutions, 9, None,
+    "L1_5": (_suite_four_involutions, range, 9, None,
              "n >= 9; a 4-involution needs negated rank 4 below fixed rank"),
-    "L1_6": (_suite_commutant_shape, 5, None,
+    "L1_6": (_suite_commutant_shape, range, 5, None,
              "n >= 5; the rank-2 negated base involution needs fixed rank above 2"),
-    "L1_7": (_suite_shared_summand, 3, None,
+    "L1_7": (_suite_shared_summand, range, 3, None,
              "n >= 3; extremal involutions need negated rank 1 below fixed rank"),
-    "P1_8": (_suite_summand_encoding, 3, None, "n >= 3"),
-    "P1_9": (_suite_commuting_family, 3, 16,
+    "P1_8": (_suite_summand_encoding, range, 3, None, "n >= 3"),
+    # the exhaustive pass runs once, before the trials, as trial -1
+    "P1_9": (_suite_commuting_family, lambda trials: range(-1, trials), 3, 16,
              "3 <= n <= 16; exhaustive pass over all sign matrices"),
-    "C2_1_claim1": (_suite_rank3_identities, 3, 3,
+    # fixed identities: one trial, whatever the trial count
+    "C2_1_claim1": (_suite_rank3_identities, lambda trials: range(1), 3, 3,
                     "n == 3; fixed rank-2 and rank-3 identity checks"),
-    "C2_1_claim3": (_suite_congruence_summands, 3, None, "n >= 3"),
-    "MU_SURJ": (_suite_mod2_lifting, 1, None, "n >= 1"),
+    "C2_1_claim3": (_suite_congruence_summands, range, 3, None, "n >= 3"),
+    "MU_SURJ": (_suite_mod2_lifting, range, 1, None, "n >= 1"),
 }
 
 SUITE_IDS = tuple(sorted(_SUITES))
@@ -591,15 +605,14 @@ def run_suite(suite_id: str, n: int, trials: int, seed: int) -> SuiteReport:
     """Run one verification suite; deterministic apart from elapsed_ms."""
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite id: {suite_id!r}")
-    body, n_min, n_max, window = _SUITES[suite_id]
+    build, indices, n_min, n_max, window = _SUITES[suite_id]
     n, trials, seed = operator.index(n), operator.index(trials), operator.index(seed)
     if n < n_min or (n_max is not None and n > n_max):
         raise ValueError(f"n out of range for suite {suite_id}: {window}")
     if trials < 1:
         raise ValueError("trials must be positive")
     start = time.perf_counter()
-    failures = body(n, trials, random.Random(seed))
-    failures.sort(key=lambda f: (f["trial"], f["reason"]))
+    failures = _run_trials(indices(trials), *build(n, random.Random(seed)))
     elapsed = int((time.perf_counter() - start) * 1000)
     return SuiteReport(
         suite=suite_id,

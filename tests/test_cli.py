@@ -72,6 +72,12 @@ class TestClassifyCommand:
         assert doc["transvection"]["m"] == 2
         assert doc["gamma_levels"] == [2]
 
+    def test_transvection_invariant_outside_int64_is_a_string(self, capsys, monkeypatch):
+        doc = json.dumps({"n": 2, "rows": [[1, str(2 * 10**20)], [0, 1]]})
+        code, out, _ = run_cli(capsys, ["classify"], doc, monkeypatch)
+        assert code == 0
+        assert json.loads(out)["transvection"]["m"] == str(2 * 10**20)
+
     def test_non_automorphism_exits_3(self, capsys, monkeypatch):
         code, out, err = run_cli(
             capsys, ["classify"], '{"n":2,"rows":[[2,0],[0,2]]}', monkeypatch
@@ -296,6 +302,23 @@ class TestLiftCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "row, echo",
+        [
+            (("100000000000000000001", "2"), {"a": "100000000000000000001", "c": 2}),
+            (("3", "200000000000000000000"), {"a": 3, "c": "200000000000000000000"}),
+            (("-9223372036854775809", "2"), {"a": "-9223372036854775809", "c": 2}),
+        ],
+    )
+    def test_row_echo_outside_int64_is_a_string(self, capsys, row, echo):
+        # a and c travel like matrix entries: decimal strings outside int64
+        code, out, _ = run_cli(capsys, ["lift", "--row", *row])
+        assert code == 0
+        doc = json.loads(out)
+        assert {"a": doc["a"], "c": doc["c"]} == echo
+        assert doc["matrix"]["rows"][0][0] == echo["a"]
+        assert doc["matrix"]["rows"][1][0] == echo["c"]
+
 
 class TestWitnessCommand:
     def test_order3(self, capsys, monkeypatch):
@@ -342,6 +365,48 @@ class TestGammaCommand:
         )
         assert json.loads(out) == {"level": 2, "member": False}
 
+    def test_level_outside_int64_is_a_string(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            capsys, ["gamma", "--m", str(10**20)], '{"n":2,"rows":[[3,4],[2,3]]}', monkeypatch
+        )
+        assert code == 0
+        assert json.loads(out) == {"level": str(10**20), "member": False}
+
+
+class TestArgvIntegers:
+    """Integer arguments follow the rule for entries: an optional "-" and
+    ASCII digits; int() alone also takes these spellings."""
+
+    LAX = ["1_001", "+7", " 5", "\u0663"]
+    ARGVS = [
+        ["lift", "--row", "{}", "2"],
+        ["lift", "--row", "3", "{}"],
+        ["gamma", "--m", "{}"],
+        ["verify", "--suite", "MU_SURJ", "--n", "{}", "--trials", "1", "--seed", "0"],
+        ["verify", "--suite", "MU_SURJ", "--n", "2", "--trials", "{}", "--seed", "0"],
+        ["verify", "--suite", "MU_SURJ", "--n", "2", "--trials", "1", "--seed", "{}"],
+    ]
+
+    @pytest.mark.parametrize("literal", LAX)
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_lax_integer_argument_exits_2(self, capsys, monkeypatch, argv, literal):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"n":2,"rows":[[3,4],[2,3]]}'))
+        with pytest.raises(SystemExit) as exc:
+            main([literal if a == "{}" else a for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"bad integer literal: {literal!r}\n")
+
+    def test_strict_spellings_are_accepted(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, ["lift", "--row", "-0003", "002"])
+        assert code == 0
+        assert (json.loads(out)["a"], json.loads(out)["c"]) == (-3, 2)
+        code, out, _ = run_cli(
+            capsys, ["gamma", "--m", "02"], '{"n":2,"rows":[[3,4],[2,3]]}', monkeypatch
+        )
+        assert json.loads(out) == {"level": 2, "member": True}
+
 
 class TestIdentitiesCommand:
     def test_report(self, capsys):
@@ -378,14 +443,14 @@ class TestVerifyCommand:
     def test_failing_suite_exits_4(self, capsys, monkeypatch):
         import glnz.verify as verify_module
 
-        def broken(n, trials, rng):
-            def check(t, inputs):
+        def broken(n, rng):
+            def check(t):
                 raise verify_module._TrialFailure("synthetic")
 
-            return verify_module._run_trials(range(1), check)
+            return (lambda t: {}), check
 
         monkeypatch.setitem(
-            verify_module._SUITES, "MU_SURJ", (broken, 1, None, "test")
+            verify_module._SUITES, "MU_SURJ", (broken, range, 1, None, "test")
         )
         code, out, _ = run_cli(
             capsys,
@@ -401,16 +466,16 @@ class TestVerifyCommand:
     def test_postcondition_or_crash_exits_5(self, capsys, monkeypatch, error, category):
         import glnz.verify as verify_module
 
-        def broken(n, trials, rng):
-            def check(t, inputs):
+        def broken(n, rng):
+            def check(t):
                 if t == 0:
                     raise verify_module._TrialFailure("synthetic")
                 raise error("broken library call")
 
-            return verify_module._run_trials(range(trials), check)
+            return (lambda t: {}), check
 
         monkeypatch.setitem(
-            verify_module._SUITES, "MU_SURJ", (broken, 1, None, "test")
+            verify_module._SUITES, "MU_SURJ", (broken, range, 1, None, "test")
         )
         code, out, _ = run_cli(
             capsys,

@@ -4,14 +4,19 @@
 a change in the kernel that alters what a seed samples.  These tests
 compare against ``golden_reports.json``: the seeded suite reports, the
 ``random_unimodular`` words, the shear triples of
-``elementary_factorization`` and the ``U`` of ``canonical_form`` on seeded
-conjugates.  The file is written by running this file as a script:
+``elementary_factorization``, the ``U`` of ``canonical_form`` on seeded
+conjugates, and a hash of each suite rng's final state, which a passing
+report cannot show: it changes whenever a seed samples anything else.
+The file is written by running this file as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
+import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -54,6 +59,22 @@ def _suite_reports() -> dict:
     }
 
 
+def _suite_rng_state(config) -> str:
+    """sha256 of the suite rng's getstate() after run_suite(*config): every
+    random.Random made during the run is recorded, and the suite's own is
+    the first."""
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    with mock.patch.object(random, "Random", Recorded):
+        run_suite(*config, seed=SUITE_SEED)
+    return hashlib.sha256(repr(made[0].getstate()).encode()).hexdigest()
+
+
 def _unimodular_rows(args) -> list:
     return [list(r) for r in random_unimodular(*args).rows]
 
@@ -82,6 +103,14 @@ def test_suite_report_matches_golden(golden, suite, n, trials):
     assert json.loads(report_key(report)) == golden["suites"][_key((suite, n, trials))]
 
 
+@pytest.mark.parametrize("suite,n,trials", SMOKE)
+def test_suite_rng_state_matches_golden(golden, suite, n, trials):
+    # a passing report holds no sampled value; the final rng state pins
+    # every draw the suite made
+    config = (suite, n, trials)
+    assert _suite_rng_state(config) == golden["suite_rng_state"][_key(config)]
+
+
 def test_random_unimodular_matches_golden(golden):
     expected = golden["random_unimodular"]
     assert sorted(expected) == sorted(_key(args) for args in UNIMODULAR_GRID)
@@ -107,6 +136,7 @@ if __name__ == "__main__":
     doc = {
         "suite_seed": SUITE_SEED,
         "suites": _suite_reports(),
+        "suite_rng_state": {_key(c): _suite_rng_state(c) for c in SMOKE},
         "random_unimodular": {_key(a): _unimodular_rows(a) for a in UNIMODULAR_GRID},
         "elementary_factorization": {_key(a): _factor_triples(a) for a in FACTOR_GRID},
         "canonical_form_U": {_key(a): _canonical_U_rows(a) for a in CANON_GRID},

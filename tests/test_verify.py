@@ -138,25 +138,28 @@ def test_window_documented_per_suite():
 
 
 def test_failures_carry_inputs(monkeypatch):
-    # force a failure by breaking an internal check through a tiny trials
-    # run against a suite body wrapped to always fail
+    # force a failure with a suite whose checker always fails: the record
+    # holds every sampled value, a matrix as its rows and a sequence element
+    # by element
     import glnz.verify as verify_module
+    from glnz.exactmat import IntMatrix
 
-    def broken(n, trials, rng):
-        from glnz.exactmat import IntMatrix
+    def broken(n, rng):
+        def sample(t):
+            return {"M": IntMatrix.identity(n), "pair": (IntMatrix.identity(1), [t, -t])}
 
-        def check(t, inputs):
-            inputs["M"] = IntMatrix.identity(n)
+        def check(t, M, pair):
             raise verify_module._TrialFailure("synthetic failure")
 
-        return verify_module._run_trials(range(trials), check)
+        return sample, check
 
     monkeypatch.setitem(
-        verify_module._SUITES, "L1_3", (broken, 2, None, "test window")
+        verify_module._SUITES, "L1_3", (broken, range, 2, None, "test window")
     )
     report = run_suite("L1_3", 3, 2, 0)
     assert not report.passed
     assert report.failures[0]["inputs"]["M"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert report.failures[1]["inputs"]["pair"] == [[[1]], [1, -1]]
     assert report.failures[0]["trial"] == 0
 
 
@@ -171,16 +174,18 @@ def test_failures_are_typed_and_trials_continue(monkeypatch):
     ]
     ran = []
 
-    def body(n, trials, rng):
-        def check(t, inputs):
+    def body(n, rng):
+        def sample(t):
+            return {"M": IntMatrix.diagonal([t + 1] * n)}
+
+        def check(t, M):
             ran.append(t)
-            inputs["M"] = IntMatrix.diagonal([t + 1] * n)
             if t < len(raised):
                 raise raised[t]
 
-        return verify_module._run_trials(range(trials), check)
+        return sample, check
 
-    monkeypatch.setitem(verify_module._SUITES, "L1_3", (body, 2, None, "test window"))
+    monkeypatch.setitem(verify_module._SUITES, "L1_3", (body, range, 2, None, "test window"))
     report = run_suite("L1_3", 2, 4, 0)
     assert ran == [0, 1, 2, 3]
     assert [(f["trial"], f["category"], f["reason"]) for f in report.failures] == [
@@ -204,7 +209,83 @@ def test_library_type_error_is_a_crash(monkeypatch):
     report = run_suite("L1_3", 4, 3, seed=1)
     assert [f["trial"] for f in report.failures] == [0, 1, 2]
     assert {f["category"] for f in report.failures} == {"crash"}
-    assert all(list(f["inputs"]) == ["P"] for f in report.failures)
+    # the record is the whole sample: P and the five diagonalizable pairs
+    for f in report.failures:
+        assert list(f["inputs"]) == ["P", "pairs"]
+        assert len(f["inputs"]["P"]) == 4
+        assert len(f["inputs"]["pairs"]) == 5
+        assert all(len(phi) == 4 for pair in f["inputs"]["pairs"] for phi in pair)
+
+
+def test_sampler_fault_is_a_postcondition(monkeypatch):
+    # a sample that leaves its class is a broken library invariant, not a
+    # counterexample; the sampler returned nothing, so the record is empty
+    import glnz.verify as verify_module
+    from glnz.exactmat import IntMatrix
+
+    real_profile = verify_module.profile
+    monkeypatch.setattr(
+        verify_module, "profile", lambda P: real_profile(IntMatrix.identity(P.n))
+    )
+    report = run_suite("L1_3", 4, 3, seed=1)
+    assert [(f["trial"], f["category"], f["reason"], f["inputs"]) for f in report.failures] == [
+        (t, "postcondition", "conjugation did not preserve the profile", {}) for t in range(3)
+    ]
+
+
+class CountingRandom(random.Random):
+    """random.Random counting its draws; every draw of the module goes
+    through random() or getrandbits()."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("suite,n,trials", SMOKE)
+def test_checkers_draw_nothing(suite, n, trials):
+    import glnz.verify as verify_module
+
+    build, indices = verify_module._SUITES[suite][:2]
+    rng = CountingRandom(5)
+    sample, check = build(n, rng)
+    assert rng.calls == 0  # fixed data draws nothing either
+    for t in indices(trials):
+        drawn = sample(t)
+        calls, state = rng.calls, rng.getstate()
+        check(t, **drawn)
+        assert (rng.calls, rng.getstate()) == (calls, state), (suite, t)
+    assert rng.calls > 0 or suite == "C2_1_claim1"
+
+
+def test_failure_record_replays_by_hand(monkeypatch):
+    # decode the inputs of a recorded failure and call the suite's check:
+    # it fails for the same reason, and passes once the fault is gone
+    import glnz.verify as verify_module
+    from glnz.exactmat import IntMatrix
+
+    monkeypatch.setattr(verify_module, "mutual_subgroup", lambda P, Q: None)
+    report = run_suite("L1_7", 4, 3, seed=11)
+    assert [(f["trial"], f["reason"]) for f in report.failures] == [
+        (0, "shared summand missed"), (1, "shared summand missed")
+    ]
+    _, check = verify_module._SUITES["L1_7"][0](4, random.Random(0))
+    for record in json.loads(json.dumps(report.to_jsonable()))["failures"]:
+        inputs = {
+            k: IntMatrix(tuple(map(tuple, v))) if isinstance(v[0], list) else v
+            for k, v in record["inputs"].items()
+        }
+        assert sorted(inputs) == ["P", "Q", "U", "coeffs"]
+        with pytest.raises(verify_module._TrialFailure, match=f"^{record['reason']}$"):
+            check(record["trial"], **inputs)
+    monkeypatch.undo()
+    check(record["trial"], **inputs)
 
 
 def test_commuting_family_pass_is_trial_minus_one(monkeypatch):
