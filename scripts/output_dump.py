@@ -25,7 +25,7 @@ Three sections, one line per output:
 * integer arguments: ``lift --row``, ``gamma --m`` and ``verify --n``,
   ``--trials`` and ``--seed`` with spellings that ``int()`` takes but an
   entry may not have ("+3", " 3", "0_3", non-ASCII digits), and
-  ``gamma --m`` at and beyond the int64 bounds;
+  ``gamma --m`` and ``verify --seed`` at and beyond the int64 bounds;
 * every SMOKE configuration at one seed under each of three injected
   faults, one per failure category: ``verify.order3_witness`` raising
   ``TypeError``, ``verify.profile`` returning the profile of the
@@ -193,7 +193,7 @@ def lax_spellings(value: int) -> list:
 
 def argv_runs() -> list:
     """(argv, stdin text) of integer arguments: lax spellings of values
-    every version runs quickly, and levels at the int64 bounds."""
+    every version runs quickly, and levels and seeds at the int64 bounds."""
     member = '{"n": 2, "rows": [[3, 4], [2, 3]]}'
     runs = []
     for lax in lax_spellings(3):
@@ -206,6 +206,9 @@ def argv_runs() -> list:
                           "--seed", args[2]], ""))
     for m in (2**63 - 1, 2**63, 10**20, 2 * 10**40):
         runs.append((["gamma", "--m", str(m)], member))
+    for seed in (2**63 - 1, 2**63, 10**20):
+        runs.append((["verify", "--suite", "MU_SURJ", "--n", "2", "--trials", "1",
+                      "--seed", str(seed)], ""))
     return runs
 
 

@@ -108,8 +108,14 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _vector_payload(v) -> list:
-    return [_encode_int(x) for x in v]
+def _encode_ints(value):
+    """value with every int in it, not a bool, through _encode_int; a
+    sequence becomes a list."""
+    if isinstance(value, dict):
+        return {k: _encode_ints(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode_ints(v) for v in value]
+    return _encode_int(value) if type(value) is int else value
 
 
 def cmd_classify(args) -> int:
@@ -129,7 +135,7 @@ def cmd_classify(args) -> int:
     data = transvection.recognize_transvection(M)
     report["is_transvection"] = data is not None
     report["transvection"] = None if data is None else {
-        "x": _vector_payload(data.x), "delta": _vector_payload(data.delta),
+        "x": _encode_ints(data.x), "delta": _encode_ints(data.delta),
         "m": _encode_int(data.m),
     }
     # M is in Gamma(m) exactly when m divides every entry of M - I
@@ -252,7 +258,7 @@ def cmd_identities(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify.run_suite(args.suite, args.n, args.trials, args.seed)
-    _emit(report.to_jsonable())
+    _emit(_encode_ints(report.to_jsonable()))
     if any(f["category"] != "counterexample" for f in report.failures):
         return 5
     return 0 if report.passed else 4

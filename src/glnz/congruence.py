@@ -66,9 +66,7 @@ def in_gamma(M: IntMatrix, m: int) -> bool:
         raise ValueError("level must be at least 2")
     if not M.is_automorphism:
         raise ValueError("matrix is not an automorphism of Z^n")
-    return all(
-        (M.rows[i][j] - (i == j)) % m == 0 for i in range(M.n) for j in range(M.n)
-    )
+    return M.mod(m).is_identity()
 
 
 def elementary_factorization(M: IntMatrix) -> Factorization:
@@ -269,7 +267,7 @@ def lift_row_to_sl3(a: int, c: int) -> IntMatrix:
         d = pow(a, -1, 2 * abs(c))
         b = (a * d - 1) // c
     M = IntMatrix(((a, b, 0), (c, d, 0), (0, 0, 1)))
-    if M.det() != 1 or not in_gamma(M, 2):
+    if M.det() != 1 or not M.mod(2).is_identity():
         raise RuntimeError("row completion postcondition violated")
     return M
 

@@ -163,6 +163,12 @@ def _trusted(rows: tuple[Vector, ...]) -> "IntMatrix":
     return M
 
 
+def _rank_update(M: "IntMatrix", left, delta, right) -> "IntMatrix":
+    """M + left delta right, for left n x k, delta k x k and right k x n
+    given by their rows: the one place a rank-k term is formed."""
+    return M + _trusted(_matmul(left, _matmul(delta, right)))
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable square matrix over Z."""
@@ -614,21 +620,13 @@ def basis_completion(cols: Sequence[Sequence[int]]) -> IntMatrix:
     """Unimodular matrix whose first k columns are exactly the given
     columns; requires the columns to span a saturated rank-k lattice.
 
-    Only those k columns and unimodularity are promised: the other columns
-    come from a Hermite transform, which is not unique, and may differ
-    from those of earlier versions."""
-    return _basis_completion_pair(cols)[0]
-
-
-def _basis_completion_pair(cols: Sequence[Sequence[int]]) -> tuple[IntMatrix, IntMatrix]:
-    """``basis_completion(cols)`` as V together with V^-1.  The Hermite
-    transform U with U B = [I_k; 0] is V^-1 by construction, so V is its
-    one inverse."""
+    Only those k columns and unimodularity are promised: the result inverts
+    a Hermite transform U with U B = [I_k; 0], which is not unique, so the
+    other columns may differ from those of earlier versions."""
     cols = [_vec(c) for c in cols]
     if not cols:
         raise ValueError("nothing to complete")
     U = _unimodular_frame(cols, len(cols[0]))
     if U is None:
         raise ValueError("columns do not span a saturated lattice")
-    V_inv = _trusted(tuple(map(tuple, U)))
-    return V_inv.inverse(), V_inv
+    return _trusted(tuple(map(tuple, U))).inverse()

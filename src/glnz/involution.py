@@ -24,7 +24,7 @@ from .exactmat import (
     _matmul,
     _mod2_pivots,
     _rank_mod3,
-    _trusted,
+    _rank_update,
     element_order,
     kernel_lattice,
     rank_mod2,
@@ -340,8 +340,7 @@ def _modified_conjugate(
     (B'_ij - B_ij) U[:, i] (U^-1)[j, :], a low-rank update."""
     S = sorted({k for ij in update for k in ij})
     delta = [[update.get((i, j), 0) for j in S] for i in S]
-    low_rank = _matmul([[r[i] for i in S] for r in cb.U.rows], _matmul(delta, inverse_rows(S)))
-    return P + _trusted(low_rank)
+    return _rank_update(P, [[r[i] for i in S] for r in cb.U.rows], delta, inverse_rows(S))
 
 
 def _order3_witness(P: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

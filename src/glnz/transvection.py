@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmat import IntMatrix, Lattice, Vector, _vec, content_and_primitive
+from .exactmat import IntMatrix, Lattice, Vector, _rank_update, _vec, content_and_primitive
 from .involution import EXTREMAL, _profile_from_ranks, eigen_lattices
 
 __all__ = [
@@ -51,12 +51,7 @@ def make_transvection(delta, x) -> IntMatrix:
         raise ValueError("direction vector must be primitive")
     if sum(d * e for d, e in zip(delta, x)) != 0:
         raise ValueError("covector must vanish on the direction vector")
-    return IntMatrix(
-        tuple(
-            tuple((i == j) + x[i] * delta[j] for j in range(n))
-            for i in range(n)
-        )
-    )
+    return _rank_update(IntMatrix.identity(n), tuple(zip(x)), ((1,),), (delta,))
 
 
 def recognize_transvection(M: IntMatrix) -> TransvectionData | None:

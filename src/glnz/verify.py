@@ -28,11 +28,12 @@ from .exactmat import (
     IntMatrix,
     Lattice,
     Vector,
-    _basis_completion_pair,
     _identity_rows,
     _random_unimodular_pair,
+    _rank_update,
     _shear_word,
     _trusted,
+    _unimodular_frame,
     content_and_primitive,
     element_order,
     rank_mod2,
@@ -168,9 +169,7 @@ def _reflection(line, covector) -> IntMatrix:
     and Z^n = Z line (+) ker covector."""
     if sum(map(operator.mul, line, covector)) != 1:
         raise RuntimeError("reflection covector does not take 1 on its line")
-    return _trusted(tuple(
-        tuple(int(i == j) - 2 * x * y for j, y in enumerate(covector)) for i, x in enumerate(line)
-    ))
+    return _rank_update(IntMatrix.identity(len(line)), tuple(zip(line)), ((-2,),), (covector,))
 
 
 # --------------------------------------------------------------------------
@@ -503,21 +502,24 @@ def _random_gamma2(rng: random.Random, n: int, length: int = 10) -> tuple[IntMat
     return _shear_word(n, word), _shear_word(n, [(i, j, -c) for i, j, c in reversed(word)])
 
 
-def _line_mover(target: Vector, i: int, n: int) -> IntMatrix:
+def _line_mover(target: Vector, i: int, n: int) -> tuple[IntMatrix, IntMatrix]:
     """A level-2 congruence element of determinant 1 sending e_i to the
-    primitive vector target, where target is congruent to e_i mod 2.
-    Built from the rank-3 row completion in the plane spanned by e_i and
-    the even remainder direction."""
+    primitive vector target, where target is congruent to e_i mod 2, and
+    its inverse: V C V^-1 = I + [e_i, g] (C - I) V^-1[:2] and the same with
+    C^-1, for g the even remainder direction, C the row completion in the
+    plane of e_i and g, and V unimodular with first columns e_i and g."""
     a = target[i]
     rest = [x if t != i else 0 for t, x in enumerate(target)]
     if not any(rest):
-        # target = a e_i with a = +-1; the partner sign keeps det 1
-        partner = (i + 1) % n
-        return IntMatrix.diagonal([a if r in (i, partner) else 1 for r in range(n)])
+        # target = a e_i with a = +-1; the same sign on e_{i+1} keeps det 1
+        D = IntMatrix.diagonal([a if r in (i, (i + 1) % n) else 1 for r in range(n)])
+        return D, D
     c2, g = content_and_primitive(rest)
-    V, V_inv = _basis_completion_pair([_identity_rows(n)[i], g])
-    core = _embed2(lift_row_to_sl3(a, c2), n)
-    return V * core * V_inv
+    cols = (_identity_rows(n)[i], g)
+    left, R = tuple(zip(*cols)), _unimodular_frame(cols, n)[:2]
+    (a, b, _), (c, d, _), _ = lift_row_to_sl3(a, c2).rows
+    return tuple(_rank_update(IntMatrix.identity(n), left, core, R)
+                 for core in (((a - 1, b), (c, d - 1)), ((d - 1, -b), (-c, a - 1))))
 
 
 def _suite_congruence_summands(n: int, rng: random.Random) -> tuple[Callable, Callable]:
@@ -539,19 +541,17 @@ def _suite_congruence_summands(n: int, rng: random.Random) -> tuple[Callable, Ca
 
     def check(t: int, sigma: IntMatrix, sigma_inv: IntMatrix, outside: IntMatrix) -> None:
         for i in range(n):
-            mover = _line_mover(sigma.column(i), i, n)
+            mover = _line_mover(sigma.column(i), i, n)[0]
             if mover.column(i) != sigma.column(i):
                 raise _TrialFailure("line mover misses the image vector")
-            if mover.det() != 1 or not in_gamma(mover, 2):
+            if mover.det() != 1 or not mover.mod(2).is_identity():
                 raise _TrialFailure("line mover leaves the congruence subgroup")
-            dual = _line_mover(sigma_inv.rows[i], i, n)
-            rho = dual.transpose().inverse()
-            if not in_gamma(rho, 2) or rho.det() != 1:
+            rho = _line_mover(sigma_inv.rows[i], i, n)[1].transpose()
+            if rho.det() != 1 or not rho.mod(2).is_identity():
                 raise _TrialFailure("hyperplane mover leaves the congruence subgroup")
             if sigma * hyperplanes[i] != rho * hyperplanes[i]:
                 raise _TrialFailure("hyperplane images differ")
-        # some entry must differ in parity from the identity's
-        if all(outside.rows[i][j] % 2 == (i == j) for i in range(n) for j in range(n)):
+        if outside.mod(2).is_identity():
             raise _TrialFailure("non-member shows no parity violation")
 
     return sample, check

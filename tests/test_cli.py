@@ -486,6 +486,41 @@ class TestVerifyCommand:
         assert doc["passed"] is False
         assert [f["category"] for f in doc["failures"]] == ["counterexample", category]
 
+    @pytest.mark.parametrize("seed", [2**63 - 1, 2**63, 10**20, -(2**63) - 1])
+    def test_seed_outside_int64_is_a_string(self, capsys, seed):
+        argv = ["verify", "--suite", "MU_SURJ", "--n", "2", "--trials", "1", "--seed", str(seed)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["seed"] == (seed if -(2**63) <= seed < 2**63 else str(seed))
+        lib = verify.run_suite("MU_SURJ", 2, 1, seed).to_jsonable()
+        doc.pop("elapsed_ms"), lib.pop("elapsed_ms")
+        assert doc == {**lib, "seed": doc["seed"]}
+
+    @pytest.mark.parametrize("error,expected", [(verify._TrialFailure, 4), (TypeError, 5)])
+    def test_sampled_integers_outside_int64_are_strings(self, capsys, monkeypatch, error,
+                                                        expected):
+        big = 2**70
+        M = IntMatrix(((big, 1), (-big, 3)))
+
+        def broken(n, rng):
+            def check(t, M, pairs, coeffs):
+                raise error("synthetic")
+
+            return (lambda t: {"M": M, "pairs": [(M, M)], "coeffs": [big, 2**63 - 1]}), check
+
+        monkeypatch.setitem(verify._SUITES, "MU_SURJ", (broken, range, 1, None, "test"))
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", "--suite", "MU_SURJ", "--n", "2", "--trials", "1", "--seed", "0"],
+        )
+        assert code == expected
+        rows = [[str(big), 1], [str(-big), 3]]
+        [record] = json.loads(out)["failures"]
+        assert record["inputs"] == {
+            "M": rows, "pairs": [[rows, rows]], "coeffs": [str(big), 2**63 - 1]
+        }
+
 
 class TestInternalError:
     def test_postcondition_failure_exits_5(self, capsys, monkeypatch):

@@ -5,8 +5,10 @@ a change in the kernel that alters what a seed samples.  These tests
 compare against ``golden_reports.json``: the seeded suite reports, the
 ``random_unimodular`` words, the shear triples of
 ``elementary_factorization``, the ``U`` of ``canonical_form`` on seeded
-conjugates, and a hash of each suite rng's final state, which a passing
-report cannot show: it changes whenever a seed samples anything else.
+conjugates, a hash of each suite rng's final state and a hash of every
+value each suite samples.  A passing report shows neither: the state
+changes whenever a seed draws anything else, the sample hash whenever the
+same draws build other values.
 The file is written by running this file as a script:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,7 +25,7 @@ import pytest
 from glnz.congruence import elementary_factorization
 from glnz.exactmat import random_elementary_word, random_unimodular
 from glnz.involution import canonical_block, canonical_form
-from glnz.verify import run_suite
+from glnz.verify import _SUITES, _jsonable, run_suite
 
 from test_verify import SMOKE, report_key
 
@@ -75,6 +77,17 @@ def _suite_rng_state(config) -> str:
     return hashlib.sha256(repr(made[0].getstate()).encode()).hexdigest()
 
 
+def _suite_samples(config) -> str:
+    """sha256 of every sample drawn by run_suite(*config), written as a
+    failure record writes it; checkers draw nothing, so sampling alone
+    makes the same draws."""
+    suite, n, trials = config
+    build, indices = _SUITES[suite][:2]
+    sample, _ = build(n, random.Random(SUITE_SEED))
+    drawn = [{k: _jsonable(v) for k, v in sample(t).items()} for t in indices(trials)]
+    return hashlib.sha256(json.dumps(drawn, sort_keys=True).encode()).hexdigest()
+
+
 def _unimodular_rows(args) -> list:
     return [list(r) for r in random_unimodular(*args).rows]
 
@@ -111,6 +124,13 @@ def test_suite_rng_state_matches_golden(golden, suite, n, trials):
     assert _suite_rng_state(config) == golden["suite_rng_state"][_key(config)]
 
 
+@pytest.mark.parametrize("suite,n,trials", SMOKE)
+def test_suite_samples_match_golden(golden, suite, n, trials):
+    # the rng state pins the draws; this pins the values built from them
+    config = (suite, n, trials)
+    assert _suite_samples(config) == golden["suite_samples"][_key(config)]
+
+
 def test_random_unimodular_matches_golden(golden):
     expected = golden["random_unimodular"]
     assert sorted(expected) == sorted(_key(args) for args in UNIMODULAR_GRID)
@@ -137,6 +157,7 @@ if __name__ == "__main__":
         "suite_seed": SUITE_SEED,
         "suites": _suite_reports(),
         "suite_rng_state": {_key(c): _suite_rng_state(c) for c in SMOKE},
+        "suite_samples": {_key(c): _suite_samples(c) for c in SMOKE},
         "random_unimodular": {_key(a): _unimodular_rows(a) for a in UNIMODULAR_GRID},
         "elementary_factorization": {_key(a): _factor_triples(a) for a in FACTOR_GRID},
         "canonical_form_U": {_key(a): _canonical_U_rows(a) for a in CANON_GRID},

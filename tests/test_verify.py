@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glnz.verify import SUITE_IDS, _random_gamma2, run_suite
+from glnz.congruence import lift_row_to_sl3
+from glnz.exactmat import IntMatrix, basis_completion, content_and_primitive
+from glnz.verify import SUITE_IDS, _embed2, _line_mover, _random_gamma2, run_suite
 
 
 def report_key(report):
@@ -334,3 +336,57 @@ def test_rank3_identities_run_once_as_trial_zero(monkeypatch):
 def test_random_gamma2_carries_its_inverse(n, seed, length):
     sigma, sigma_inv = _random_gamma2(random.Random(seed), n, length)
     assert sigma_inv == sigma.inverse()
+
+
+def reference_line_mover(target, i, n):
+    """The line mover as V C V^-1, by two dense products and an HNF
+    inverse: the construction the rank-2 update replaces."""
+    rest = [x if t != i else 0 for t, x in enumerate(target)]
+    if not any(rest):
+        partner = (i + 1) % n
+        return IntMatrix.diagonal([target[i] if r in (i, partner) else 1 for r in range(n)])
+    c2, g = content_and_primitive(rest)
+    V = basis_completion([IntMatrix.identity(n).column(i), g])
+    return V * _embed2(lift_row_to_sl3(target[i], c2), n) * V.inverse()
+
+
+@given(st.integers(3, 7), st.integers(0, 2**32), st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_line_mover_is_the_conjugated_row_completion(n, seed, length):
+    # level-2 targets: the columns of a level-2 element, the rows of its
+    # inverse, and +-e_i
+    sigma, sigma_inv = _random_gamma2(random.Random(seed), n, length)
+    for i in range(n):
+        e_i = IntMatrix.identity(n).column(i)
+        for target in (sigma.column(i), sigma_inv.rows[i], e_i, tuple(-x for x in e_i)):
+            mover, mover_inv = _line_mover(target, i, n)
+            assert mover == reference_line_mover(target, i, n)
+            assert mover.column(i) == tuple(target)
+            assert (mover * mover_inv).is_identity()
+
+
+def test_congruence_summands_invert_nothing_and_take_each_det_once(monkeypatch):
+    # per trial: the two sampled memberships, then per coordinate one det
+    # for each row completion, the mover and the hyperplane mover
+    import glnz.verify as verify_module
+
+    calls = {"inverse": 0, "det": 0}
+    for name in calls:
+        def counted(self, _real=getattr(IntMatrix, name), _name=name):
+            calls[_name] += 1
+            return _real(self)
+
+        monkeypatch.setattr(IntMatrix, name, counted)
+    starts = []  # det calls before each trial's sample
+    real_gamma2 = verify_module._random_gamma2
+
+    def gamma2(*args):
+        starts.append(calls["det"])
+        return real_gamma2(*args)
+
+    monkeypatch.setattr(verify_module, "_random_gamma2", gamma2)
+    n, trials = 5, 20
+    assert run_suite("C2_1_claim3", n, trials, 42).passed
+    assert calls["inverse"] == 0
+    per_trial = [b - a for a, b in zip(starts, starts[1:] + [calls["det"]])]
+    assert len(per_trial) == trials and max(per_trial) <= 2 + 4 * n
