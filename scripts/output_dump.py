@@ -284,6 +284,26 @@ def run_cli(argv: list, text: str = "") -> tuple[int, str, str]:
     return code, stdout.getvalue().strip(), stderr.getvalue().strip()
 
 
+def document_runs() -> list:
+    """(name, JSON text, argvs) of every CLI run that reads a document."""
+    commands = (["classify"], ["canon"], ["factor"], ["lift", "--mod2"],
+                ["witness", "--order3"], ["witness", "--four"],
+                ["gamma", "--m", "2"], ["gamma", "--m", "3"])
+    runs = [(name, text, commands) for name, text in documents()]
+    runs += [(name, text, (["canon"], ["witness", "--order3"])) for name, text in big_involutions()]
+    runs += [(name, text, (["classify"], ["canon"], ["witness", "--order3"], ["gamma", "--m", "2"]))
+             for name, text in over_limit_involutions()]
+    return runs
+
+
+def fixed_runs() -> list:
+    """argv of every CLI run that reads no document."""
+    fixed = [["identities"]] + [["lift", "--row", str(a), str(c)] for a, c in row_pairs()]
+    fixed += [["verify", "--suite", s, "--n", str(n), "--trials", str(t), "--seed", "9"]
+              for s, n, t in smoke_configs()]
+    return fixed
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     from glnz import verify
@@ -297,23 +317,13 @@ def main() -> int:
             print(f"suite {suite} n={n} trials={trials} seed={seed} "
                   f"{json.dumps(report, sort_keys=True)}")
 
-    commands = (["classify"], ["canon"], ["factor"], ["lift", "--mod2"],
-                ["witness", "--order3"], ["witness", "--four"],
-                ["gamma", "--m", "2"], ["gamma", "--m", "3"])
-    runs = [(name, text, commands) for name, text in documents()]
-    runs += [(name, text, (["canon"], ["witness", "--order3"])) for name, text in big_involutions()]
-    runs += [(name, text, (["classify"], ["canon"], ["witness", "--order3"], ["gamma", "--m", "2"]))
-             for name, text in over_limit_involutions()]
-    for name, text, argvs in runs:
+    for name, text, argvs in document_runs():
         for argv in argvs:
             code, out, err = run_cli(argv, text)
             print(f"cli {' '.join(argv)} {name} exit={code} stdout={out} stderr={err}")
             if code == 0 and argv[0] in ("canon", "witness"):
                 print(f"cli {' '.join(argv)} {name} {check(argv, text, out)}")
-    fixed = [["identities"]] + [["lift", "--row", str(a), str(c)] for a, c in row_pairs()]
-    fixed += [["verify", "--suite", s, "--n", str(n), "--trials", str(t), "--seed", "9"]
-              for s, n, t in configs]
-    for argv in fixed:
+    for argv in fixed_runs():
         code, out, err = run_cli(argv)
         out = without_elapsed(argv, code, out)
         print(f"cli {' '.join(argv)} exit={code} stdout={out} stderr={err}")

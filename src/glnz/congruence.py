@@ -289,27 +289,26 @@ def _lift_mod2_word(rows) -> tuple[IntMatrix, list[tuple[int, int]]]:
     the unit shears I + E_ij over the returned (i, j), left to right."""
     if isinstance(rows, IntMatrix):
         rows = rows.rows
-    A = [[operator.index(x) % 2 for x in r] for r in rows]
-    n = len(A)
-    if n == 0 or any(len(r) != n for r in A):
+    target = tuple(tuple(operator.index(x) % 2 for x in r) for r in rows)
+    n = len(target)
+    if n == 0 or any(len(r) != n for r in target):
         raise ValueError("matrix must be square and non-empty")
-    target = tuple(tuple(r) for r in A)
+    # row i as a bit mask, bit j its entry j: an addition is one xor
+    rows = [sum(x << j for j, x in enumerate(r)) for r in target]
     ops: list[tuple[int, int]] = []
-
-    def add_row(i: int, j: int) -> None:
-        A[i] = [(x + y) % 2 for x, y in zip(A[i], A[j])]
-        ops.append((i, j))
-
     for col in range(n):
-        if A[col][col] == 0:
-            pivot = next((i for i in range(col + 1, n) if A[i][col]), None)
+        bit = 1 << col
+        if not rows[col] & bit:
+            pivot = next((i for i in range(col + 1, n) if rows[i] & bit), None)
             if pivot is None:
                 raise ValueError("matrix is singular over GF(2)")
-            add_row(col, pivot)
+            rows[col] ^= rows[pivot]
+            ops.append((col, pivot))
         for i in range(n):
-            if i != col and A[i][col]:
-                add_row(i, col)
-    if any(A[i][j] != (i == j) for i in range(n) for j in range(n)):
+            if i != col and rows[i] & bit:
+                rows[i] ^= rows[col]
+                ops.append((i, col))
+    if rows != [1 << i for i in range(n)]:
         raise RuntimeError("GF(2) reduction did not reach the identity")
     # row additions are involutions mod 2, so the input equals the ops
     # composed in original order; lifting each with coefficient 1 keeps

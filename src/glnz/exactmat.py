@@ -47,10 +47,24 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
     with strictly increasing pivot columns, entries above each pivot reduced
     into ``[0, pivot)``, zero rows at the bottom.  When ``transform`` is set,
     ``U`` is unimodular with ``U @ rows == H``; otherwise ``U`` is None.
-    Each pivot column is cleared by ``_euclid_column`` with its extended-gcd
-    step (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4),
-    so large entries take a few rounds, not one per Euclid quotient.
     """
+    H, ncols, pivots = _row_echelon(rows, transform)
+    for r, col in enumerate(pivots):
+        p = H[r][col]
+        for i in range(r):
+            q = H[i][col] // p
+            if q:
+                H[i] = [a - q * b for a, b in zip(H[i], H[r])]
+    if not transform:
+        return H, None, len(pivots)
+    return [row[:ncols] for row in H], [row[ncols:] for row in H], len(pivots)
+
+
+def _row_echelon(rows: Sequence[Sequence[int]], transform: bool):
+    """``row_hermite`` up to the reduction above each pivot, which changes
+    no row below the rank: ``(H, ncols, pivots)``, with U after column
+    ncols of H.  ``_euclid_column`` clears each pivot column by extended-gcd
+    steps (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4)."""
     H = [list(map(operator.index, r)) for r in rows]
     m = len(H)
     ncols = len(H[0]) if m else 0
@@ -69,25 +83,19 @@ def row_hermite(rows: Sequence[Sequence[int]], transform: bool = False):
             [u * a + v * b for a, b in zip(H[i], H[k])],
         )
 
-    r = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
         i0 = _euclid_column(H, col, r, axpy, combine)
         if i0 is None:
             continue
         H[r], H[i0] = H[i0], H[r]
         if H[r][col] < 0:
             H[r] = [-x for x in H[r]]
-        p = H[r][col]
-        for i in range(r):
-            q = H[i][col] // p
-            if q:
-                axpy(i, r, q)
-        r += 1
-        if r == m:
-            break
-    if not transform:
-        return H, None, r
-    return [row[:ncols] for row in H], [row[ncols:] for row in H], r
+        pivots.append(col)
+    return H, ncols, pivots
 
 
 def _euclid_column(A: list[list[int]], col: int, start: int, axpy, combine=None) -> int | None:
@@ -389,10 +397,8 @@ def _kernel_vectors(rows: Sequence[Sequence[int]]) -> list[Vector]:
     """Basis of {v in Z^n : rows @ v = 0}; the result is always saturated."""
     if not rows:
         raise ValueError("empty matrix")
-    n = len(rows[0])
-    T = [list(col) for col in zip(*rows)]
-    _, U, r = row_hermite(T, transform=True)
-    return [tuple(U[i]) for i in range(r, n)]
+    H, ncols, pivots = _row_echelon([list(col) for col in zip(*rows)], True)
+    return [tuple(row[ncols:]) for row in H[len(pivots):]]
 
 
 def kernel_lattice(M: IntMatrix) -> Lattice:
@@ -485,7 +491,7 @@ def _rank_mod3(M: IntMatrix) -> int:
 
 def rational_rank(M: IntMatrix) -> int:
     """Rank of M over the rationals."""
-    return row_hermite(M.rows)[2]
+    return len(_row_echelon(M.rows, False)[2])
 
 
 def element_order(M: IntMatrix, bound: int) -> int | None:
@@ -520,38 +526,95 @@ def _random_unimodular_pair(
 ) -> tuple[IntMatrix, IntMatrix]:
     """``random_unimodular(...)`` and its inverse, built side by side: each
     right factor F of U enters U^-1 as F^-1 on the left, a row operation."""
-    if n < 1 or entry_bound < 1 or word_length < 0:
-        raise ValueError("parameters out of range")
-    rng = random.Random(seed)
     cols = list(_identity_rows(n))  # columns of U: I is its own transpose
     inv = list(_identity_rows(n))  # rows of U^-1
-    for _ in range(word_length):
-        if n >= 2 and rng.random() < 0.75:
-            i, j = rng.sample(range(n), 2)
-            c = rng.randint(1, entry_bound) * rng.choice((1, -1))
+    for factor in _random_word(n, word_length, entry_bound, seed):
+        if len(factor) == 3:
+            i, j, c = factor
             _shear_columns(cols, i, j, c)
             inv[i] = [x - c * y for x, y in zip(inv[i], inv[j])]
-        else:
-            # right factor with entry s_j at (perm[j], j): column j of U
-            # becomes s_j times column perm[j], and row j of U^-1 becomes
-            # s_j times row perm[j]
-            perm = rng.sample(range(n), n)
-            signs = [rng.choice((1, -1)) for _ in range(n)]
+        else:  # U's column j and U^-1's row j become s_j times those at perm[j]
+            perm, signs = factor
             cols = [cols[p] if s == 1 else [-x for x in cols[p]] for p, s in zip(perm, signs)]
             inv = [inv[p] if s == 1 else [-x for x in inv[p]] for p, s in zip(perm, signs)]
     return _trusted(tuple(zip(*cols))), _trusted(tuple(map(tuple, inv)))
+
+
+def _random_conjugates(mats: Sequence[IntMatrix], word_length: int, entry_bound: int,
+                       seed: int) -> list[IntMatrix]:
+    """U M U^-1 for each M, U = random_unimodular(n, word_length,
+    entry_bound, seed), conjugating by its factors, last first, with no U,
+    U^-1 or product: a shear is one row and one column operation, a signed
+    permutation moves entry (k, l) to (perm[k], perm[l]) times the signs."""
+    word = _random_word(mats[0].n, word_length, entry_bound, seed)[::-1]
+    out = []
+    for M in mats:
+        A = [list(r) for r in M.rows]
+        for factor in word:
+            if len(factor) == 3:  # (I + c E_ij) A (I - c E_ij)
+                i, j, c = factor
+                A[i] = [x + c * y for x, y in zip(A[i], A[j])]
+                for row in A:
+                    row[j] -= c * row[i]
+            else:
+                perm, signs = factor
+                back = sorted(range(len(A)), key=perm.__getitem__)  # back[perm[k]] = k
+                A = [[signs[k] * signs[l] * A[k][l] for l in back] for k in back]
+        out.append(_trusted(tuple(map(tuple, A))))
+    return out
+
+
+def _random_word(n: int, word_length: int, entry_bound: int, seed: int) -> list[tuple]:
+    """The factors of random_unimodular(...), left to right: a shear
+    (i, j, c) is I + c E_ij, a pair (perm, signs) the signed permutation
+    with entry signs[j] at (perm[j], j)."""
+    if n < 1 or entry_bound < 1 or word_length < 0:
+        raise ValueError("parameters out of range")
+    rng = random.Random(seed)
+    below, pick = _draws(rng)
+    word: list[tuple] = []
+    for _ in range(word_length):
+        if n >= 2 and rng.random() < 0.75:
+            word.append((*pick(n, 2), (1 + below(entry_bound)) * (1, -1)[below(2)]))
+        else:
+            word.append((pick(n, n), [(1, -1)[below(2)] for _ in range(n)]))
+    return word
+
+
+def _draws(rng: random.Random):
+    """(below, pick), the draws of rng.randrange(m) and rng.sample(range(n),
+    k) without their argument handling: CPython's _randbelow_with_getrandbits
+    loop and sample's pool branch (k = n, or k <= 5, k <= n and n <= 21;
+    other picks are rng.sample's).  randint(1, b) is 1 + below(b)."""
+    getrandbits = rng.getrandbits
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return r
+
+    def pick(n: int, k: int) -> list[int]:
+        if k != n and (k > min(5, n) or n > 21):
+            return rng.sample(range(n), k)
+        pool, out = list(range(n)), []
+        for size in range(n, n - k, -1):
+            j = below(size)
+            out.append(pool[j])
+            pool[j] = pool[size - 1]
+        return out
+
+    return below, pick
 
 
 def random_elementary_word(n: int, word_length: int, entry_bound: int, seed: int) -> IntMatrix:
     """Deterministic random product of shears only; determinant exactly 1."""
     if n < 2 or entry_bound < 1 or word_length < 0:
         raise ValueError("parameters out of range")
-    rng = random.Random(seed)
-    shears = []
-    for _ in range(word_length):
-        i, j = rng.sample(range(n), 2)
-        shears.append((i, j, rng.randint(1, entry_bound) * rng.choice((1, -1))))
-    return _shear_word(n, shears)
+    below, pick = _draws(random.Random(seed))
+    return _shear_word(n, [(*pick(n, 2), (1 + below(entry_bound)) * (1, -1)[below(2)])
+                           for _ in range(word_length)])
 
 
 def _shear_word(n: int, shears: Iterable[tuple[int, int, int]]) -> IntMatrix:

@@ -28,7 +28,10 @@ from .exactmat import (
     IntMatrix,
     Lattice,
     Vector,
+    _draws,
     _identity_rows,
+    _mod2_pivots,
+    _random_conjugates,
     _random_unimodular_pair,
     _rank_update,
     _shear_word,
@@ -36,7 +39,6 @@ from .exactmat import (
     _unimodular_frame,
     content_and_primitive,
     element_order,
-    rank_mod2,
     random_unimodular,
     rational_rank,
 )
@@ -126,16 +128,17 @@ def _run_trials(indices: Iterable[int], sample: Callable, check: Callable) -> li
     return failures
 
 
-def _rand_u(rng: random.Random, n: int, word_length: int = 8) -> tuple[IntMatrix, IntMatrix]:
-    """A seeded random unimodular U and its inverse."""
-    U, U_inv = _random_unimodular_pair(n, word_length, 2, rng.randrange(1 << 30))
+def _rand_u(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """A seeded random unimodular U and its inverse, as L1_7 and P1_8 read both."""
+    U, U_inv = _random_unimodular_pair(n, 8, 2, rng.randrange(1 << 30))
     if not (U * U_inv).is_identity():
         raise RuntimeError("carried inverse of the random unimodular matrix is wrong")
     return U, U_inv
 
 
-def _conj(M: IntMatrix, U: IntMatrix, U_inv: IntMatrix) -> IntMatrix:
-    return U * M * U_inv
+def _rand_conj(rng: random.Random, *mats: IntMatrix, word_length: int = 8) -> list[IntMatrix]:
+    """U M U^-1 for each M under one U, its seed drawn as _rand_u draws it."""
+    return _random_conjugates(mats, word_length, 2, rng.randrange(1 << 30))
 
 
 def _sample_involution(
@@ -143,7 +146,7 @@ def _sample_involution(
 ) -> IntMatrix:
     """Seeded unimodular conjugate of the canonical (a, b, p) involution;
     the preserved profile is asserted."""
-    P = _conj(canonical_block(a, b, p), *_rand_u(rng, n, word_length))
+    (P,) = _rand_conj(rng, canonical_block(a, b, p), word_length=word_length)
     prof = profile(P)
     if (prof.a, prof.b, prof.p) != (a, b, p):
         raise RuntimeError("conjugation did not preserve the profile")
@@ -191,7 +194,7 @@ def _suite_order3(n: int, rng: random.Random) -> tuple[Callable, Callable]:
         pairs = []
         for _ in range(5):
             D = IntMatrix.diagonal([rng.choice((1, -1)) for _ in range(n)])
-            pairs.append((_conj(D, *_rand_u(rng, n)), _conj(D, *_rand_u(rng, n))))
+            pairs.append((*_rand_conj(rng, D), *_rand_conj(rng, D)))
         return {"P": P, "pairs": pairs}
 
     def check(t: int, P: IntMatrix, pairs) -> None:
@@ -216,20 +219,20 @@ def _suite_two_involution_products(n: int, rng: random.Random) -> tuple[Callable
     # each swap block times diag(1, -1) is the rotation [[0, -1], [1, 0]]
     sigma0 = canonical_block(a, 0, b // 2) * IntMatrix.diagonal([1] * a + [1, -1] * (b // 2))
 
+    flips = [IntMatrix.diagonal([-1 if r == k else 1 for r in range(n)]) for k in range(n)]
+
     def sample(t: int) -> dict:
         # U (I - 2 e_k e_k^T) U^-1: coordinate reflections conjugated by U
         if t % 2 == 0:  # two coordinates, one basis
-            U, U_inv = _rand_u(rng, n)
-            bases = [(U, U_inv, k) for k in rng.sample(range(n), 2)]
+            seed = rng.randrange(1 << 30)
+            phi1, phi2 = _random_conjugates([flips[k] for k in rng.sample(range(n), 2)], 8, 2, seed)
         else:  # the last coordinate, two bases
-            bases = [(*_rand_u(rng, n), n - 1) for _ in range(2)]
-        phi1, phi2 = (_reflection(U.column(k), U_inv.rows[k]) for U, U_inv, k in bases)
+            (phi1,), (phi2,) = (_rand_conj(rng, flips[-1]) for _ in range(2))
         for phi in (phi1, phi2):
             if classify(phi).name != EXTREMAL:
                 raise RuntimeError("sample left the extremal class")
-        W, W_inv = _rand_u(rng, n)
-        return {"phi1": phi1, "phi2": phi2,
-                "rho": _conj(rho0, W, W_inv), "sigma": _conj(sigma0, W, W_inv)}
+        rho, sigma = _rand_conj(rng, rho0, sigma0)
+        return {"phi1": phi1, "phi2": phi2, "rho": rho, "sigma": sigma}
 
     def check(t: int, phi1: IntMatrix, phi2: IntMatrix, rho: IntMatrix, sigma: IntMatrix) -> None:
         prod = phi1 * phi2
@@ -495,31 +498,28 @@ def _suite_rank3_identities(n: int, rng: random.Random) -> tuple[Callable, Calla
 def _random_gamma2(rng: random.Random, n: int, length: int = 10) -> tuple[IntMatrix, IntMatrix]:
     """A level-2 element as a word of even shears, and its inverse: the
     reversed word with negated coefficients."""
-    word = []
-    for _ in range(length):
-        i, j = rng.sample(range(n), 2)
-        word.append((i, j, 2 * rng.randint(1, 2) * rng.choice((1, -1))))
+    below, pick = _draws(rng)
+    word = [(*pick(n, 2), 2 * (1 + below(2)) * (1, -1)[below(2)]) for _ in range(length)]
     return _shear_word(n, word), _shear_word(n, [(i, j, -c) for i, j, c in reversed(word)])
 
 
-def _line_mover(target: Vector, i: int, n: int) -> tuple[IntMatrix, IntMatrix]:
-    """A level-2 congruence element of determinant 1 sending e_i to the
-    primitive vector target, where target is congruent to e_i mod 2, and
-    its inverse: V C V^-1 = I + [e_i, g] (C - I) V^-1[:2] and the same with
-    C^-1, for g the even remainder direction, C the row completion in the
-    plane of e_i and g, and V unimodular with first columns e_i and g."""
+def _line_mover(target: Vector, i: int, n: int, power: int) -> IntMatrix:
+    """For power 1 a level-2 element of determinant 1 sending e_i to the
+    primitive vector target = e_i mod 2, for power -1 its inverse: V C^power
+    V^-1 = I + [e_i, g] (C^power - I) V^-1[:2], for g the even remainder
+    direction, C the row completion in the plane of e_i and g, and V
+    unimodular with first columns e_i and g."""
     a = target[i]
     rest = [x if t != i else 0 for t, x in enumerate(target)]
     if not any(rest):
         # target = a e_i with a = +-1; the same sign on e_{i+1} keeps det 1
-        D = IntMatrix.diagonal([a if r in (i, (i + 1) % n) else 1 for r in range(n)])
-        return D, D
+        return IntMatrix.diagonal([a if r in (i, (i + 1) % n) else 1 for r in range(n)])
     c2, g = content_and_primitive(rest)
     cols = (_identity_rows(n)[i], g)
     left, R = tuple(zip(*cols)), _unimodular_frame(cols, n)[:2]
     (a, b, _), (c, d, _), _ = lift_row_to_sl3(a, c2).rows
-    return tuple(_rank_update(IntMatrix.identity(n), left, core, R)
-                 for core in (((a - 1, b), (c, d - 1)), ((d - 1, -b), (-c, a - 1))))
+    core = ((a - 1, b), (c, d - 1)) if power == 1 else ((d - 1, -b), (-c, a - 1))
+    return _rank_update(IntMatrix.identity(n), left, core, R)
 
 
 def _suite_congruence_summands(n: int, rng: random.Random) -> tuple[Callable, Callable]:
@@ -541,12 +541,12 @@ def _suite_congruence_summands(n: int, rng: random.Random) -> tuple[Callable, Ca
 
     def check(t: int, sigma: IntMatrix, sigma_inv: IntMatrix, outside: IntMatrix) -> None:
         for i in range(n):
-            mover = _line_mover(sigma.column(i), i, n)[0]
+            mover = _line_mover(sigma.column(i), i, n, 1)
             if mover.column(i) != sigma.column(i):
                 raise _TrialFailure("line mover misses the image vector")
             if mover.det() != 1 or not mover.mod(2).is_identity():
                 raise _TrialFailure("line mover leaves the congruence subgroup")
-            rho = _line_mover(sigma_inv.rows[i], i, n)[1].transpose()
+            rho = _line_mover(sigma_inv.rows[i], i, n, -1).transpose()
             if rho.det() != 1 or not rho.mod(2).is_identity():
                 raise _TrialFailure("hyperplane mover leaves the congruence subgroup")
             if sigma * hyperplanes[i] != rho * hyperplanes[i]:
@@ -561,11 +561,13 @@ def _suite_mod2_lifting(n: int, rng: random.Random) -> tuple[Callable, Callable]
     """Every invertible matrix over GF(2) lifts to SL(n, Z) with the exact
     mod-2 reduction."""
 
+    below, _ = _draws(rng)
+
     def sample(t: int) -> dict:
-        while True:
-            Mbar = IntMatrix(tuple(tuple(rng.randrange(2) for _ in range(n)) for _ in range(n)))
-            if rank_mod2(Mbar) == n:
-                return {"Mbar": Mbar}
+        while True:  # only the accepted rows are wrapped
+            rows = tuple(tuple([below(2) for _ in range(n)]) for _ in range(n))
+            if len(_mod2_pivots(rows)) == n:
+                return {"Mbar": _trusted(rows)}
 
     def check(t: int, Mbar: IntMatrix) -> None:
         # the postcondition of lift_mod2 checks det 1 and the mod-2 reduction

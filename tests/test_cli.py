@@ -701,3 +701,48 @@ class TestParserReuse:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert texts[0].startswith("usage: glnz")
+
+
+def load_output_dump():
+    """scripts/output_dump.py as a module: its documents and argv lists."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_dump.py"
+    spec = importlib.util.spec_from_file_location("output_dump", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def numbers_outside_int64(value, path="$"):
+    """(path, value) of every JSON number in value that is not an int in
+    int64; a bool is not a number."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from numbers_outside_int64(v, f"{path}.{k}")
+    elif isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from numbers_outside_int64(v, f"{path}[{k}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if type(value) is not int or not -(2**63) <= value < 2**63:
+            yield path, value
+
+
+def test_every_integer_written_is_in_int64_or_a_string():
+    # every CLI run of the output dump: each document under each command,
+    # the 2489- and 3489-digit involutions among them, and the commands
+    # that read no document
+    dump = load_output_dump()
+    runs = [(argv, text) for _, text, argvs in dump.document_runs() for argv in argvs]
+    runs += [(argv, "") for argv in dump.fixed_runs()] + dump.argv_runs()
+    written = 0
+    for argv, text in runs:
+        code, out, _ = dump.run_cli(argv, text)
+        if not out:
+            continue
+        with no_digit_limit():  # a bare integer over the limit must still decode
+            value = json.loads(out)
+        assert list(numbers_outside_int64(value)) == [], (argv, code)
+        written += 1
+    assert written > 500

@@ -2,11 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glnz import exactmat
 from glnz.congruence import (
     ElementaryFactor,
     Factorization,
+    _lift_mod2_word,
     braid_involution_solutions,
     commutator_identities,
     elementary_factorization,
@@ -389,6 +392,29 @@ def _all_invertible_mod2(n):
             yield M
 
 
+def reference_lift_mod2_ops(rows) -> list:
+    """The shear word of lift_mod2 by elimination on lists of residues, one
+    entrywise pass per row addition: the loop the bit-mask one replaces."""
+    A = [[x % 2 for x in r] for r in rows]
+    n = len(A)
+    ops = []
+
+    def add_row(i, j):
+        A[i] = [(x + y) % 2 for x, y in zip(A[i], A[j])]
+        ops.append((i, j))
+
+    for col in range(n):
+        if A[col][col] == 0:
+            pivot = next((i for i in range(col + 1, n) if A[i][col]), None)
+            if pivot is None:
+                raise ValueError("matrix is singular over GF(2)")
+            add_row(col, pivot)
+        for i in range(n):
+            if i != col and A[i][col]:
+                add_row(i, col)
+    return ops
+
+
 class TestLiftMod2:
     def test_identity(self):
         assert lift_mod2(IntMatrix.identity(3)).is_identity()
@@ -430,6 +456,21 @@ class TestLiftMod2:
                     M = lift_mod2(rows)
                     assert M.det() == 1
                     assert [[x % 2 for x in r] for r in M.rows] == rows
+
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    @settings(max_examples=300, deadline=None)
+    def test_op_word_equals_the_list_elimination(self, rows):
+        try:
+            expected = reference_lift_mod2_ops(rows)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                _lift_mod2_word(rows)
+            return
+        M, ops = _lift_mod2_word(rows)
+        assert ops == expected
+        assert M == exactmat._shear_word(len(rows), ((i, j, 1) for i, j in ops))
 
     def test_random_large(self):
         rng = random.Random(15)

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from glnz.exactmat import (
     IntMatrix,
     Lattice,
+    _draws,
+    _kernel_vectors,
     _matmul,
+    _random_conjugates,
     _random_unimodular_pair,
     _shear_word,
     _xgcd,
@@ -584,6 +587,56 @@ class TestCarriedInverses:
         V = basis_completion(cols)
         assert V.columns()[:k] == cols
         assert (V * V.inverse()).is_identity()
+
+
+class TestDraws:
+    @given(st.integers(0, 2**64), st.lists(st.integers(1, 2**40), min_size=1, max_size=6),
+           st.integers(1, 25), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_draws_equal_the_stdlib_calls(self, seed, bounds, n, whole):
+        # value for value and state for state, against a twin generator
+        ours, twin = random.Random(seed), random.Random(seed)
+        below, pick = _draws(ours)
+        for m in bounds:
+            assert below(m) == twin.randrange(m)
+            assert 1 + below(m) == twin.randint(1, m)
+        assert (1, -1)[below(2)] == twin.choice((1, -1))
+        k = n if whole else 2
+        if k <= n:
+            for _ in range(32):
+                assert pick(n, k) == twin.sample(range(n), k)
+        else:
+            with pytest.raises(ValueError):
+                pick(n, k)
+        assert ours.getstate() == twin.getstate()
+
+
+class TestRandomConjugates:
+    @given(st.integers(1, 9), st.integers(0, 12), st.integers(1, 3), st.integers(0, 2**32),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_the_dense_conjugates(self, n, word_length, bound, seed, data):
+        U, U_inv = _random_unimodular_pair(n, word_length, bound, seed)
+        rows = st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        mats = [IntMatrix(r) for r in data.draw(st.lists(rows, min_size=1, max_size=3))]
+        assert _random_conjugates(mats, word_length, bound, seed) == [U * M * U_inv for M in mats]
+
+
+class TestEchelonPass:
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_and_rank_equal_the_hermite_ones(self, m, k, r, data):
+        # rows C B of rank at most r, B with up to 20-digit entries, so
+        # that kernels are often nonzero
+        big = st.integers(-(10**20), 10**20)
+        B = data.draw(st.lists(st.lists(big, min_size=k, max_size=k), min_size=r, max_size=r))
+        C = data.draw(st.lists(st.lists(small_entries, min_size=r, max_size=r),
+                               min_size=m, max_size=m))
+        rows = [[sum(c * b[j] for c, b in zip(crow, B)) for j in range(k)] for crow in C]
+        _, U, rank = row_hermite([list(col) for col in zip(*rows)], transform=True)
+        assert _kernel_vectors(rows) == [tuple(U[i]) for i in range(rank, k)]
+        square = [row + [0] * (m - k) if k < m else row[:m] for row in rows]
+        assert rational_rank(IntMatrix(square)) == row_hermite(square)[2]
 
 
 class TestBoundaryValidation:

@@ -359,8 +359,9 @@ def test_line_mover_is_the_conjugated_row_completion(n, seed, length):
     for i in range(n):
         e_i = IntMatrix.identity(n).column(i)
         for target in (sigma.column(i), sigma_inv.rows[i], e_i, tuple(-x for x in e_i)):
-            mover, mover_inv = _line_mover(target, i, n)
+            mover, mover_inv = _line_mover(target, i, n, 1), _line_mover(target, i, n, -1)
             assert mover == reference_line_mover(target, i, n)
+            assert mover_inv == reference_line_mover(target, i, n).inverse()
             assert mover.column(i) == tuple(target)
             assert (mover * mover_inv).is_identity()
 
