@@ -94,7 +94,14 @@ def parse_matrix_document(doc) -> IntMatrix:
 
 
 def _read_document(path: str | None) -> IntMatrix:
-    text = sys.stdin.read() if path is None else open(path, "r", encoding="utf-8").read()
+    try:
+        if path is None:
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except ValueError as exc:  # malformed JSON, or an integer over the digit limit

@@ -518,39 +518,18 @@ def random_unimodular(n: int, word_length: int, entry_bound: int, seed: int) -> 
     The result always has determinant +-1; identical arguments give the
     identical matrix.
     """
-    return _random_unimodular_pair(n, word_length, entry_bound, seed)[0]
+    return _shear_word(n, _random_word(n, word_length, entry_bound, seed))
 
 
-def _random_unimodular_pair(
-    n: int, word_length: int, entry_bound: int, seed: int
-) -> tuple[IntMatrix, IntMatrix]:
-    """``random_unimodular(...)`` and its inverse, built side by side: each
-    right factor F of U enters U^-1 as F^-1 on the left, a row operation."""
-    cols = list(_identity_rows(n))  # columns of U: I is its own transpose
-    inv = list(_identity_rows(n))  # rows of U^-1
-    for factor in _random_word(n, word_length, entry_bound, seed):
-        if len(factor) == 3:
-            i, j, c = factor
-            _shear_columns(cols, i, j, c)
-            inv[i] = [x - c * y for x, y in zip(inv[i], inv[j])]
-        else:  # U's column j and U^-1's row j become s_j times those at perm[j]
-            perm, signs = factor
-            cols = [cols[p] if s == 1 else [-x for x in cols[p]] for p, s in zip(perm, signs)]
-            inv = [inv[p] if s == 1 else [-x for x in inv[p]] for p, s in zip(perm, signs)]
-    return _trusted(tuple(zip(*cols))), _trusted(tuple(map(tuple, inv)))
-
-
-def _random_conjugates(mats: Sequence[IntMatrix], word_length: int, entry_bound: int,
-                       seed: int) -> list[IntMatrix]:
-    """U M U^-1 for each M, U = random_unimodular(n, word_length,
-    entry_bound, seed), conjugating by its factors, last first, with no U,
-    U^-1 or product: a shear is one row and one column operation, a signed
-    permutation moves entry (k, l) to (perm[k], perm[l]) times the signs."""
-    word = _random_word(mats[0].n, word_length, entry_bound, seed)[::-1]
+def _conjugates(word: Sequence[tuple], mats: Sequence[IntMatrix]) -> list[IntMatrix]:
+    """U M U^-1 for each M, U = _shear_word(n, word), conjugating by the
+    factors, last first, with no U, U^-1 or product: a shear is one row and
+    one column operation, a signed permutation moves entry (k, l) to
+    (perm[k], perm[l]) times the signs."""
     out = []
     for M in mats:
         A = [list(r) for r in M.rows]
-        for factor in word:
+        for factor in reversed(word):
             if len(factor) == 3:  # (I + c E_ij) A (I - c E_ij)
                 i, j, c = factor
                 A[i] = [x + c * y for x, y in zip(A[i], A[j])]
@@ -617,31 +596,33 @@ def random_elementary_word(n: int, word_length: int, entry_bound: int, seed: int
                            for _ in range(word_length)])
 
 
-def _shear_word(n: int, shears: Iterable[tuple[int, int, int]]) -> IntMatrix:
-    """The product (I + c_1 E_{i_1 j_1}) ... (I + c_k E_{i_k j_k}) of the
-    shears (i, j, c), left to right; the empty word gives I.
+def _shear_word(n: int, word: Iterable[tuple]) -> IntMatrix:
+    """The product of the factors of word, left to right; the empty word
+    gives I.  A factor is a shear (i, j, c), I + c E_ij, or a signed
+    permutation (perm, signs) as ``_random_word`` draws it.
 
-    Each factor is one column operation, O(n), not a matrix product.
-    Indices must differ and lie in [0, n); entries are read with
-    ``operator.index``, so a float raises TypeError.
+    Each factor acts on the columns, not by a matrix product: a shear is
+    one column operation, O(n).  Shear indices must differ and lie in
+    [0, n); shear entries are read with ``operator.index``, so a float
+    raises TypeError.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("matrix must be square and non-empty")
     cols = list(_identity_rows(n))  # columns of I: I is its own transpose
-    for i, j, c in shears:
-        i, j, c = operator.index(i), operator.index(j), operator.index(c)
-        if i == j:
-            raise ValueError("shear indices must differ")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"shear index out of range for n = {n}: ({i}, {j})")
-        _shear_columns(cols, i, j, c)
+    for factor in word:
+        if len(factor) == 3:  # column j gains c times column i
+            i, j, c = factor
+            i, j, c = operator.index(i), operator.index(j), operator.index(c)
+            if i == j:
+                raise ValueError("shear indices must differ")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"shear index out of range for n = {n}: ({i}, {j})")
+            cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
+        else:  # column j becomes signs[j] times column perm[j]
+            perm, signs = factor
+            cols = [cols[p] if s == 1 else [-x for x in cols[p]] for p, s in zip(perm, signs)]
     return _trusted(tuple(zip(*cols)))
-
-
-def _shear_columns(cols: list[Sequence[int]], i: int, j: int, c: int) -> None:
-    """cols <- cols @ (I + c*E_ij): column j gains c times column i."""
-    cols[j] = [x + c * y for x, y in zip(cols[j], cols[i])]
 
 
 def restriction_matrix(M: IntMatrix, L: Lattice) -> IntMatrix:

@@ -28,11 +28,11 @@ from .exactmat import (
     IntMatrix,
     Lattice,
     Vector,
+    _conjugates,
     _draws,
     _identity_rows,
     _mod2_pivots,
-    _random_conjugates,
-    _random_unimodular_pair,
+    _random_word,
     _rank_update,
     _shear_word,
     _trusted,
@@ -128,17 +128,9 @@ def _run_trials(indices: Iterable[int], sample: Callable, check: Callable) -> li
     return failures
 
 
-def _rand_u(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
-    """A seeded random unimodular U and its inverse, as L1_7 and P1_8 read both."""
-    U, U_inv = _random_unimodular_pair(n, 8, 2, rng.randrange(1 << 30))
-    if not (U * U_inv).is_identity():
-        raise RuntimeError("carried inverse of the random unimodular matrix is wrong")
-    return U, U_inv
-
-
-def _rand_conj(rng: random.Random, *mats: IntMatrix, word_length: int = 8) -> list[IntMatrix]:
-    """U M U^-1 for each M under one U, its seed drawn as _rand_u draws it."""
-    return _random_conjugates(mats, word_length, 2, rng.randrange(1 << 30))
+def _rand_word(rng: random.Random, n: int, word_length: int = 8) -> list[tuple]:
+    """The word of a seeded random unimodular U: one draw from rng."""
+    return _random_word(n, word_length, 2, rng.randrange(1 << 30))
 
 
 def _sample_involution(
@@ -146,7 +138,7 @@ def _sample_involution(
 ) -> IntMatrix:
     """Seeded unimodular conjugate of the canonical (a, b, p) involution;
     the preserved profile is asserted."""
-    (P,) = _rand_conj(rng, canonical_block(a, b, p), word_length=word_length)
+    (P,) = _conjugates(_rand_word(rng, n, word_length), [canonical_block(a, b, p)])
     prof = profile(P)
     if (prof.a, prof.b, prof.p) != (a, b, p):
         raise RuntimeError("conjugation did not preserve the profile")
@@ -158,12 +150,6 @@ def _embed2(block: IntMatrix, n: int) -> IntMatrix:
     n - 2 coordinates."""
     identity = _identity_rows(n)
     return _trusted(tuple(block.rows[i][:2] + identity[i][2:] for i in range(2)) + identity[2:])
-
-
-def _line(cols: tuple[Vector, ...], base: int, coeffs) -> list[int]:
-    """cols[base] plus the other vectors, in order, times coeffs."""
-    others = cols[:base] + cols[base + 1 :]
-    return [x + sum(c * h[i] for c, h in zip(coeffs, others)) for i, x in enumerate(cols[base])]
 
 
 def _reflection(line, covector) -> IntMatrix:
@@ -194,7 +180,7 @@ def _suite_order3(n: int, rng: random.Random) -> tuple[Callable, Callable]:
         pairs = []
         for _ in range(5):
             D = IntMatrix.diagonal([rng.choice((1, -1)) for _ in range(n)])
-            pairs.append((*_rand_conj(rng, D), *_rand_conj(rng, D)))
+            pairs.append(tuple(_conjugates(_rand_word(rng, n), [D])[0] for _ in range(2)))
         return {"P": P, "pairs": pairs}
 
     def check(t: int, P: IntMatrix, pairs) -> None:
@@ -224,14 +210,14 @@ def _suite_two_involution_products(n: int, rng: random.Random) -> tuple[Callable
     def sample(t: int) -> dict:
         # U (I - 2 e_k e_k^T) U^-1: coordinate reflections conjugated by U
         if t % 2 == 0:  # two coordinates, one basis
-            seed = rng.randrange(1 << 30)
-            phi1, phi2 = _random_conjugates([flips[k] for k in rng.sample(range(n), 2)], 8, 2, seed)
+            word = _rand_word(rng, n)
+            phi1, phi2 = _conjugates(word, [flips[k] for k in rng.sample(range(n), 2)])
         else:  # the last coordinate, two bases
-            (phi1,), (phi2,) = (_rand_conj(rng, flips[-1]) for _ in range(2))
+            phi1, phi2 = (_conjugates(_rand_word(rng, n), [flips[-1]])[0] for _ in range(2))
         for phi in (phi1, phi2):
             if classify(phi).name != EXTREMAL:
                 raise RuntimeError("sample left the extremal class")
-        rho, sigma = _rand_conj(rng, rho0, sigma0)
+        rho, sigma = _conjugates(_rand_word(rng, n), [rho0, sigma0])
         return {"phi1": phi1, "phi2": phi2, "rho": rho, "sigma": sigma}
 
     def check(t: int, phi1: IntMatrix, phi2: IntMatrix, rho: IntMatrix, sigma: IntMatrix) -> None:
@@ -348,21 +334,23 @@ def _suite_shared_summand(n: int, rng: random.Random) -> tuple[Callable, Callabl
     """Two distinct extremal involutions share an eigen-summand exactly
     when their product is a transvection of even invariant; the invariant
     is twice the content of the connecting coefficient vector."""
+    e0, zero = _identity_rows(n)[0], (0,) * (n - 2)
+    reflect_e0 = _reflection(e0, e0)
 
     def sample(t: int) -> dict:
-        U, U_inv = _rand_u(rng, n)
+        word = _rand_word(rng, n)
         coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
         if not any(coeffs):
             coeffs[rng.randrange(n - 1)] = rng.choice((1, 2, 3))
-        cols, rows = U.columns(), U_inv.rows
         kind = t % 3
         if kind == 0:  # shared fixed hyperplane, distinct negated lines
-            Q = _reflection(_line(cols, 0, coeffs), rows[0])
+            R = _reflection((1, *coeffs), e0)
         elif kind == 1:  # shared negated line, distinct fixed hyperplanes
-            Q = _reflection(cols[0], _line(rows, 0, [-c for c in coeffs]))
-        else:  # neither side shared
-            Q = _reflection(_line(cols, 0, [1]), [2 * y - x for x, y in zip(rows[0], rows[1])])
-        return {"U": U, "coeffs": coeffs, "P": _reflection(cols[0], rows[0]), "Q": Q}
+            R = _reflection(e0, (1, *(-c for c in coeffs)))
+        else:  # neither side shared: line e0 + e1, covector 2 e1 - e0
+            R = _reflection((1, 1, *zero), (-1, 2, *zero))
+        P, Q = _conjugates(word, [reflect_e0, R])
+        return {"U": _shear_word(n, word), "coeffs": coeffs, "P": P, "Q": Q}
 
     def check(t: int, U: IntMatrix, coeffs, P: IntMatrix, Q: IntMatrix) -> None:
         # mutual_subgroup checks that P and Q are extremal, and for a shared
@@ -390,10 +378,10 @@ def _suite_summand_encoding(n: int, rng: random.Random) -> tuple[Callable, Calla
     """Pairs of extremal involutions encode direct summands: two pairs
     determine the same summand exactly when every cross product is an
     equality or an even transvection."""
+    identity = _identity_rows(n)
 
     def sample(t: int) -> dict:
-        U, U_inv = _rand_u(rng, n)
-        cols, rows = U.columns(), U_inv.rows
+        word = _rand_word(rng, n)
 
         def distinct_coeffs():
             seen: dict = {}
@@ -401,17 +389,15 @@ def _suite_summand_encoding(n: int, rng: random.Random) -> tuple[Callable, Calla
                 seen.setdefault(tuple(rng.randint(-2, 2) for _ in range(n - 1)))
             return list(seen)
 
-        def line_pair(base: int, c1, c2):
-            return tuple(_reflection(_line(cols, base, c), rows[base]) for c in (c1, c2))
-
-        def hyperplane_pair(s1, s2):
-            return tuple(_reflection(cols[0], _line(rows, 0, [-x for x in s])) for s in (s1, s2))
-
         c1, c2, c3, c4 = distinct_coeffs()
         s1, s2, s3, s4 = distinct_coeffs()
-        return {"pair_a": line_pair(0, c1, c2), "pair_b": line_pair(0, c3, c4),
-                "pair_c": line_pair(1, c1, c2),
-                "pair_d": hyperplane_pair(s1, s2), "pair_e": hyperplane_pair(s3, s4)}
+        # hyperplane side: line e_base + c on the other coordinates, fixed
+        # hyperplane ker e_base; line side: line e0, covector e0 - s
+        lines = ((0, c1), (0, c2), (0, c3), (0, c4), (1, c1), (1, c2))
+        reflections = [_reflection((*c[:base], 1, *c[base:]), identity[base]) for base, c in lines]
+        reflections += [_reflection(identity[0], (1, *(-x for x in s))) for s in (s1, s2, s3, s4)]
+        conj = iter(_conjugates(word, reflections))
+        return dict(zip(("pair_a", "pair_b", "pair_c", "pair_d", "pair_e"), zip(conj, conj)))
 
     def check(t: int, pair_a, pair_b, pair_c, pair_d, pair_e) -> None:
         if not shared_summand_predicate(pair_a, pair_b):

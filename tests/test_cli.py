@@ -605,6 +605,20 @@ class TestFileInput:
         assert code == 0
         assert json.loads(out)["profile"] == [0, 0, 1]
 
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_non_utf8_input_is_a_parse_error(self, capsys, monkeypatch, tmp_path, via):
+        data = SWAP_DOC.encode() + b"\xff"
+        if via == "file":
+            path = tmp_path / "m.json"
+            path.write_bytes(data)
+            argv = ["classify", "--file", str(path)]
+        else:  # strict decoding, as stdin reads under a UTF-8 locale
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            argv = ["classify"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: input is not UTF-8 text")
+
     def test_missing_file_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, ["classify", "--file", "/no/such/file.json"])
         assert code == 3

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from glnz.exactmat import (
     IntMatrix,
     Lattice,
+    _conjugates,
     _draws,
     _kernel_vectors,
     _matmul,
-    _random_conjugates,
-    _random_unimodular_pair,
+    _random_word,
     _shear_word,
     _xgcd,
     basis_completion,
@@ -451,6 +451,14 @@ def _reference_product(A, B):
     )
 
 
+def _signed_permutation(n, perm, signs):
+    """The matrix with entry signs[j] at (perm[j], j), zero elsewhere."""
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        rows[perm[j]][j] = signs[j]
+    return IntMatrix(tuple(tuple(r) for r in rows))
+
+
 def _unimodular_by_factors(n, word_length, entry_bound, seed):
     """random_unimodular as an explicit product of its factor matrices."""
     rng = random.Random(seed)
@@ -462,10 +470,7 @@ def _unimodular_by_factors(n, word_length, entry_bound, seed):
             factor = IntMatrix.elementary(n, i, j, c)
         else:
             perm = rng.sample(range(n), n)
-            rows = [[0] * n for _ in range(n)]
-            for j in range(n):
-                rows[perm[j]][j] = rng.choice((1, -1))
-            factor = IntMatrix(tuple(tuple(r) for r in rows))
+            factor = _signed_permutation(n, perm, [rng.choice((1, -1)) for _ in range(n)])
         M = IntMatrix(_reference_product(M.rows, factor.rows))
     return M
 
@@ -521,23 +526,25 @@ class TestKernelDifferential:
             )
 
 
-def _shears(n):
+def _words(n):
+    """Words of shears and signed permutations (perm, signs)."""
     index = st.integers(0, n - 1)
     shear = st.tuples(index, index, kernel_entries).filter(lambda s: s[0] != s[1])
-    return st.lists(shear, max_size=12)
+    signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    return st.lists(st.one_of(shear, st.tuples(st.permutations(range(n)), signs)), max_size=12)
 
 
 class TestShearWord:
-    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), _shears(n))))
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), _words(n))))
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_product_of_elementary_factors(self, case):
-        n, shears = case
+        n, word = case
         expected = IntMatrix.identity(n)
-        for i, j, c in shears:
-            factor = IntMatrix.elementary(n, i, j, c)
+        for f in word:
+            factor = IntMatrix.elementary(n, *f) if len(f) == 3 else _signed_permutation(n, *f)
             expected = IntMatrix(_reference_product(expected.rows, factor.rows))
-        assert _shear_word(n, shears) == expected
-        assert _shear_word(n, iter(shears)) == expected
+        assert _shear_word(n, word) == expected
+        assert _shear_word(n, iter(word)) == expected
 
     def test_empty_word_is_identity(self):
         for n in range(1, 9):
@@ -569,13 +576,6 @@ class TestShearWord:
 
 
 class TestCarriedInverses:
-    @given(st.integers(1, 8), st.integers(0, 30), st.integers(1, 5), st.integers(0, 2**32))
-    @settings(max_examples=100, deadline=None)
-    def test_random_unimodular_pair(self, n, word_length, bound, seed):
-        U, U_inv = _random_unimodular_pair(n, word_length, bound, seed)
-        assert U == random_unimodular(n, word_length, bound, seed)
-        assert U_inv == U.inverse()
-
     @given(st.integers(2, 6), st.integers(0, 2**32), st.data())
     @settings(max_examples=100, deadline=None)
     def test_basis_completion_pair(self, n, seed, data):
@@ -616,10 +616,11 @@ class TestRandomConjugates:
            st.data())
     @settings(max_examples=150, deadline=None)
     def test_equal_the_dense_conjugates(self, n, word_length, bound, seed, data):
-        U, U_inv = _random_unimodular_pair(n, word_length, bound, seed)
+        word = _random_word(n, word_length, bound, seed)
+        U = random_unimodular(n, word_length, bound, seed)
         rows = st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
         mats = [IntMatrix(r) for r in data.draw(st.lists(rows, min_size=1, max_size=3))]
-        assert _random_conjugates(mats, word_length, bound, seed) == [U * M * U_inv for M in mats]
+        assert _conjugates(word, mats) == [U * M * U.inverse() for M in mats]
 
 
 class TestEchelonPass:

@@ -38,6 +38,11 @@ UNIMODULAR_GRID = [
     for entry_bound in (1, 4)
     for seed in (0, 7)
 ]
+# L1_7 and P1_8 build their samples from n: n = 3 leaves L1_7 two
+# coefficients and P1_8's base-1 pair its first one; SMOKE pins only n = 4
+SAMPLE_CONFIGS = SMOKE + [
+    (suite, n, trials) for suite, trials in (("L1_7", 20), ("P1_8", 5)) for n in (3, 5, 7)
+]
 # (n, word_length, entry_bound, seed) of determinant-1 shear words
 FACTOR_GRID = [(2 + k % 5, 3 + k % 7, 1 + k % 4, 100 + k) for k in range(40)]
 # (a, b, p, seed): every involution shape with n <= 6, conjugated twice
@@ -124,7 +129,7 @@ def test_suite_rng_state_matches_golden(golden, suite, n, trials):
     assert _suite_rng_state(config) == golden["suite_rng_state"][_key(config)]
 
 
-@pytest.mark.parametrize("suite,n,trials", SMOKE)
+@pytest.mark.parametrize("suite,n,trials", SAMPLE_CONFIGS)
 def test_suite_samples_match_golden(golden, suite, n, trials):
     # the rng state pins the draws; this pins the values built from them
     config = (suite, n, trials)
@@ -157,7 +162,7 @@ if __name__ == "__main__":
         "suite_seed": SUITE_SEED,
         "suites": _suite_reports(),
         "suite_rng_state": {_key(c): _suite_rng_state(c) for c in SMOKE},
-        "suite_samples": {_key(c): _suite_samples(c) for c in SMOKE},
+        "suite_samples": {_key(c): _suite_samples(c) for c in SAMPLE_CONFIGS},
         "random_unimodular": {_key(a): _unimodular_rows(a) for a in UNIMODULAR_GRID},
         "elementary_factorization": {_key(a): _factor_triples(a) for a in FACTOR_GRID},
         "canonical_form_U": {_key(a): _canonical_U_rows(a) for a in CANON_GRID},

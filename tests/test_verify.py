@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from glnz.congruence import lift_row_to_sl3
 from glnz.exactmat import IntMatrix, basis_completion, content_and_primitive
-from glnz.verify import SUITE_IDS, _embed2, _line_mover, _random_gamma2, run_suite
+from glnz.verify import SUITE_IDS, _SUITES, _embed2, _line_mover, _random_gamma2, run_suite
 
 
 def report_key(report):
@@ -81,6 +81,18 @@ def test_shared_summand_suite_squares_each_sample_once(monkeypatch):
     assert run_suite("L1_7", 4, 30, 42).passed
     assert len(squares) == 60  # P and Q of every trial
     assert set(squares.values()) == {1}
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 9])
+def test_shared_summand_U_conjugates_the_sampled_involutions(n):
+    # the checker reads the expected summands off the columns of U, so U
+    # must be the matrix that conjugated diag(-1, 1, ..., 1) into P
+    base = IntMatrix.diagonal([-1] + [1] * (n - 1))
+    for seed in range(4):
+        sample, _ = _SUITES["L1_7"][0](n, random.Random(seed))
+        for t in range(6):
+            drawn = sample(t)
+            assert drawn["P"] * drawn["U"] == drawn["U"] * base, (seed, t)
 
 
 def test_summand_predicate_agreement_on_five_hundred_pair_pairs():
