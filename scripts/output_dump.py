@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Dump the program's observable outputs in a stable text form.
 
-Three sections, one line per output:
+Several sections, one line per output:
 
+* the public API: the sorted public names of the ``glnz`` package, less
+  its submodules, then the sorted ``__all__`` of each submodule that
+  declares one;
 * every SMOKE suite configuration of ``tests/test_verify.py`` at three
   seeds, as the report JSON without ``elapsed_ms``;
 * the exit code, stdout and stderr of each CLI subcommand on a fixed set of
@@ -46,6 +49,7 @@ import itertools
 import json
 import random
 import sys
+import types
 from pathlib import Path
 
 SEEDS = (11, 2024, 777)
@@ -304,11 +308,27 @@ def fixed_runs() -> list:
     return fixed
 
 
+def api_lines() -> list:
+    """One line per namespace: the glnz package, then each submodule with
+    an ``__all__``."""
+    import glnz
+    from glnz import cli  # noqa: F401 (listed with the other submodules)
+
+    modules = {k: v for k, v in sorted(vars(glnz).items()) if isinstance(v, types.ModuleType)}
+    names = sorted(k for k in vars(glnz) if not k.startswith("_") and k not in modules)
+    out = [f"api glnz {json.dumps(names)}"]
+    out += [f"api glnz.{k} {json.dumps(sorted(m.__all__))}"
+            for k, m in modules.items() if hasattr(m, "__all__")]
+    return out
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__).parse_args()
     from glnz import verify
     from glnz.verify import run_suite
 
+    for line in api_lines():
+        print(line)
     configs = smoke_configs()
     for seed in SEEDS:
         for suite, n, trials in configs:
