@@ -312,7 +312,6 @@ def api_lines() -> list:
     """One line per namespace: the glnz package, then each submodule with
     an ``__all__``."""
     import glnz
-    from glnz import cli  # noqa: F401 (listed with the other submodules)
 
     modules = {k: v for k, v in sorted(vars(glnz).items()) if isinstance(v, types.ModuleType)}
     names = sorted(k for k in vars(glnz) if not k.startswith("_") and k not in modules)

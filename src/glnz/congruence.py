@@ -173,8 +173,6 @@ def braid_involution_solutions() -> tuple[IntMatrix, ...]:
     solutions = []
     for d1 in (1, 3, -1, -3):
         d2 = 3 // d1
-        if (d1 + d2) % 4 or (d2 - d1 - 2) % 4:
-            continue
         a = (d1 + d2) // 4
         b = (d2 - d1 - 2) // 4
         c = -b - 1

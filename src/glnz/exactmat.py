@@ -340,7 +340,7 @@ class Lattice:
 
     The constructor canonicalizes any generating set, so lattice equality
     is plain value equality.  A direct-summand ("saturated") lattice is one
-    whose quotient in Z^n is torsion-free; see :meth:`is_saturated`.
+    whose quotient in Z^n is torsion-free.
     """
 
     ambient_rank: int
@@ -378,9 +378,6 @@ class Lattice:
         perp = _kernel_vectors(self.basis)
         sat = _kernel_vectors(perp)
         return Lattice(self.ambient_rank, tuple(sat))
-
-    def is_saturated(self) -> bool:
-        return _unimodular_frame(self.basis, self.ambient_rank) is not None
 
 
 def _unimodular_frame(cols: Sequence[Vector], n: int) -> list[list[int]] | None:
@@ -630,7 +627,7 @@ def restriction_matrix(M: IntMatrix, L: Lattice) -> IntMatrix:
     written in L's stored basis."""
     if L.rank == 0:
         raise ValueError("cannot restrict to the zero lattice")
-    if not L.is_saturated():
+    if _unimodular_frame(L.basis, L.ambient_rank) is None:
         raise ValueError("lattice is not saturated")
     Y = _coordinates(L, [M.apply(b) for b in L.basis])
     if Y is None:

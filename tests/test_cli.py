@@ -4,8 +4,11 @@ import json
 import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glnz import congruence, involution, transvection, verify
 from glnz.cli import _encode_int, main, matrix_payload, parse_matrix_document
@@ -595,6 +598,35 @@ class TestResultsOverDigitLimit:
         assert (W * W).is_identity()
         assert product == P * W
         assert (product**3).is_identity()
+
+    @given(st.integers(-(10**1000), 10**1000))
+    @example(10**1000)
+    @settings(max_examples=4, deadline=None)
+    def test_round_trip_of_rank3_involutions(self, c):
+        # the input entries stay under the digit limit; for c of about 800
+        # digits or more the witness entries cross it
+        P = rank3_involution(c)
+        doc = json.dumps(matrix_payload(P))
+        out = {}
+        for argv in (["classify"], ["canon"], ["witness", "--order3"], ["gamma", "--m", "2"]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with (
+                mock.patch.object(sys, "stdin", io.StringIO(doc)),
+                contextlib.redirect_stdout(stdout),
+                contextlib.redirect_stderr(stderr),
+            ):
+                code = main(argv)
+            assert (code, stderr.getvalue()) == (0, ""), argv
+            with no_digit_limit():
+                out[argv[0]] = json.loads(stdout.getvalue())
+        with no_digit_limit():
+            U = parse_matrix_document(out["canon"]["U"])
+            W = parse_matrix_document(out["witness"]["witness"])
+            product = parse_matrix_document(out["witness"]["product"])
+        assert out["classify"]["profile"] == out["canon"]["profile"] == [1, 0, 1]
+        assert abs(U.det()) == 1 and P * U == U * involution.canonical_block(1, 0, 1)
+        assert (W * W).is_identity() and product == P * W and (product**3).is_identity()
+        assert out["gamma"]["member"] == P.mod(2).is_identity()
 
 
 class TestFileInput:

@@ -178,7 +178,7 @@ class TestKernel:
         assert K.rank + rational_rank(M) == M.n
         for v in K.basis:
             assert M.apply(v) == (0,) * M.n
-        assert K.is_saturated()
+        assert K.saturate() == K
 
     def test_involution_eigen_ranks_sum(self):
         for seed in range(20):
@@ -388,8 +388,8 @@ class TestSaturationAndRestriction:
     def test_saturate_scaled_line(self):
         L = Lattice(2, ((2, 4),))
         assert L.saturate() == Lattice(2, ((1, 2),))
-        assert not L.is_saturated()
-        assert L.saturate().is_saturated()
+        assert L.saturate() != L
+        assert L.saturate().saturate() == L.saturate()
 
     def test_full_rank_saturates_to_everything(self):
         assert Lattice(2, ((2, 0), (0, 3))).saturate().rank == 2

@@ -328,6 +328,22 @@ def test_commuting_family_pass_is_trial_minus_one(monkeypatch):
     assert len(sampled) == trials
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_commuting_family_trial_rejects_a_commuting_extremal_outside_it(n, monkeypatch):
+    # a random trial's sample is seldom extremal and commuting, so the
+    # membership branch is reached here by handing the checker the samples
+    import glnz.verify as verify_module
+
+    family = verify_module.standard_commuting_family(n)
+    _, check = verify_module._suite_commuting_family(n, random.Random(0))
+    for member in family:
+        check(0, P=member)
+    monkeypatch.setattr(verify_module, "standard_commuting_family", lambda n: family[:-1])
+    _, check = verify_module._suite_commuting_family(n, random.Random(0))
+    with pytest.raises(verify_module._TrialFailure, match="commutes with the family"):
+        check(0, P=family[-1])
+
+
 def test_rank3_identities_run_once_as_trial_zero(monkeypatch):
     import glnz.verify as verify_module
 
