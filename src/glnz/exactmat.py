@@ -550,7 +550,9 @@ def _random_word(n: int, word_length: int, entry_bound: int, seed: int) -> list[
     below, pick = _draws(rng)
     word: list[tuple] = []
     for _ in range(word_length):
-        if n >= 2 and rng.random() < 0.75:
+        # rng.random() < 0.75 as an exact draw: random() takes its top bits
+        # from its first 32-bit word, the low half of getrandbits(64)
+        if n >= 2 and rng.getrandbits(64) & 0xFFFFFFFF < 3 << 30:
             word.append((*pick(n, 2), (1 + below(entry_bound)) * (1, -1)[below(2)]))
         else:
             word.append((pick(n, n), [(1, -1)[below(2)] for _ in range(n)]))

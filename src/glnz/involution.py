@@ -182,18 +182,12 @@ def _rank_profile(P: IntMatrix) -> InvolutionProfile:
     so P mod 3 is diagonalisable and its two GF(3) ranks sum to n.  The
     two rational ranks sum to n as well, and neither GF(3) rank exceeds
     its rational one, so each pair is equal.  A non-involution breaks
-    this: [[3]] has rational rank 1 and GF(3) rank 0.
+    this: [[3]] has rational rank 1 and GF(3) rank 0.  The swap count p
+    is the GF(2) rank of P - I.
     """
-    n = P.n
-    return _profile_from_ranks(P, n - _rank_mod3(P.shifted(-1)), n - _rank_mod3(P.shifted(1)))
-
-
-def _profile_from_ranks(P: IntMatrix, plus_rank: int, minus_rank: int) -> InvolutionProfile:
-    """The profile of the involution P whose eigen lattices have ranks
-    a + p and b + p; p is the GF(2) rank of P - I."""
-    p = rank_mod2(P.shifted(-1))
-    a, b = plus_rank - p, minus_rank - p
-    if a < 0 or b < 0 or a + b + 2 * p != P.n:
+    n, p = P.n, rank_mod2(P.shifted(-1))
+    a, b = n - _rank_mod3(P.shifted(-1)) - p, n - _rank_mod3(P.shifted(1)) - p
+    if a < 0 or b < 0 or a + b + 2 * p != n:
         raise RuntimeError("inconsistent involution invariants")
     return InvolutionProfile(a, b, p)
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmat import IntMatrix, Lattice, Vector, _rank_update, _vec, content_and_primitive
-from .involution import EXTREMAL, _profile_from_ranks, eigen_lattices
+from .exactmat import IntMatrix, Lattice, Vector, _kernel_vectors, _rank_update, _vec
+from .exactmat import content_and_primitive
+from .involution import _demand_involution
 
 __all__ = [
     "MutualSubgroup",
@@ -38,6 +39,10 @@ class TransvectionData:
         return make_transvection(self.delta, self.x)
 
 
+def _dot(u: Vector, v: Vector) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
 def make_transvection(delta, x) -> IntMatrix:
     """The automorphism a -> a + delta(a) x, as a matrix I + x (x) delta."""
     delta, x = _vec(delta), _vec(x)
@@ -49,39 +54,41 @@ def make_transvection(delta, x) -> IntMatrix:
     content, _ = content_and_primitive(x)
     if content != 1:
         raise ValueError("direction vector must be primitive")
-    if sum(d * e for d, e in zip(delta, x)) != 0:
+    if _dot(delta, x) != 0:
         raise ValueError("covector must vanish on the direction vector")
     return _rank_update(IntMatrix.identity(n), tuple(zip(x)), ((1,),), (delta,))
 
 
+def _rank_one(N: IntMatrix) -> tuple[Vector, Vector] | None:
+    """(x, delta) with N = x (x) delta, x primitive and delta's first
+    nonzero entry positive; None unless N has rank exactly one."""
+    rows = N.rows
+    i0 = next((i for i, r in enumerate(rows) if any(r)), None)
+    if i0 is None:
+        return None
+    j0 = next(j for j, v in enumerate(rows[i0]) if v)
+    # x is column j0 over its positive content c, so delta's first nonzero
+    # entry, at j0, is c: the sign is already normalized
+    _, x = content_and_primitive(N.column(j0))
+    delta = tuple(v // x[i0] for v in rows[i0])
+    # row i0 checks the division, every row the factorization
+    if any(r != tuple(xi * d for d in delta) for r, xi in zip(rows, x)):
+        return None
+    return x, delta
+
+
 def recognize_transvection(M: IntMatrix) -> TransvectionData | None:
     """Recover (x, delta, m) from a matrix, or None when it is not a
-    transvection.
+    transvection: M - I has rank one and delta(x) = 0.
 
     Signs are normalized so delta's first nonzero entry is positive; the
     opposite sign is absorbed into x.
     """
-    n = M.n
-    N = M.shifted(-1)
-    j0 = next((j for j in range(n) if any(N.rows[i][j] for i in range(n))), None)
-    if j0 is None:
+    factors = _rank_one(M.shifted(-1))
+    if factors is None or _dot(*factors):
         return None
-    _, x = content_and_primitive(N.column(j0))
-    i0 = next(i for i in range(n) if x[i])
-    delta = []
-    for j in range(n):
-        q, rem = divmod(N.rows[i0][j], x[i0])
-        if rem:
-            return None
-        if any(N.rows[i][j] != q * x[i] for i in range(n)):
-            return None
-        delta.append(q)
-    if sum(d * e for d, e in zip(delta, x)) != 0:
-        return None
-    # x is column j0 of M - I over its positive content, so delta's first
-    # nonzero entry, at j0, is that content: the sign is already normalized
-    m, _ = content_and_primitive(delta)
-    return TransvectionData(x=x, delta=tuple(delta), m=m)
+    x, delta = factors
+    return TransvectionData(x=x, delta=delta, m=content_and_primitive(delta)[0])
 
 
 def transvections_conjugate(M: IntMatrix, N: IntMatrix) -> bool:
@@ -113,17 +120,21 @@ def mutual_subgroup(P: IntMatrix, Q: IntMatrix) -> MutualSubgroup | None:
     """
     if P == Q:
         raise ValueError("involutions must be distinct")
-    summands = []
-    for M in (P, Q):
-        plus, minus = eigen_lattices(M)  # checks that M is an involution
-        if _profile_from_ranks(M, plus.rank, minus.rank).kind.name != EXTREMAL:
+    factors = []
+    for M in (P, Q):  # the first input in full before the second
+        _demand_involution(M)
+        # extremal: a reflection I + x (x) delta, delta(x) = -2, with no
+        # swap pair (delta even) and fixed rank above negated rank (n >= 3)
+        f = _rank_one(M.shifted(-1))
+        if f is None or _dot(*f) != -2 or M.n < 3 or any(d % 2 for d in f[1]):
             raise ValueError("inputs must be extremal involutions")
-        summands.append((plus, minus))
-    (p_plus, p_minus), (q_plus, q_minus) = summands
-    if p_plus == q_plus:
-        shared, side = p_plus, "plus"
-    elif p_minus == q_minus:
-        shared, side = p_minus, "minus"
+        factors.append(f)
+    # P negates Z x and fixes ker delta, Q negates Z y and fixes ker eps
+    (x, delta), (y, eps) = factors
+    if delta == eps:
+        shared, side = Lattice(P.n, tuple(_kernel_vectors((delta,)))), "plus"
+    elif x == y or x == tuple(-v for v in y):
+        shared, side = Lattice(P.n, (x,)), "minus"
     else:
         return None
     data = recognize_transvection(Q * P)

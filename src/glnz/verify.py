@@ -36,7 +36,7 @@ from .exactmat import (
     _rank_update,
     _shear_word,
     _trusted,
-    _unimodular_frame,
+    _xgcd,
     content_and_primitive,
     element_order,
     random_unimodular,
@@ -128,17 +128,17 @@ def _run_trials(indices: Iterable[int], sample: Callable, check: Callable) -> li
     return failures
 
 
-def _rand_word(rng: random.Random, n: int, word_length: int = 8) -> list[tuple]:
-    """The word of a seeded random unimodular U: one draw from rng."""
-    return _random_word(n, word_length, 2, rng.randrange(1 << 30))
+def _rand_word(below: Callable[[int], int], n: int, word_length: int = 8) -> list[tuple]:
+    """The word of a seeded random unimodular U: one draw, its seed."""
+    return _random_word(n, word_length, 2, below(1 << 30))
 
 
 def _sample_involution(
-    rng: random.Random, n: int, a: int, b: int, p: int, word_length: int = 8
+    below: Callable[[int], int], n: int, a: int, b: int, p: int, word_length: int = 8
 ) -> IntMatrix:
     """Seeded unimodular conjugate of the canonical (a, b, p) involution;
     the preserved profile is asserted."""
-    (P,) = _conjugates(_rand_word(rng, n, word_length), [canonical_block(a, b, p)])
+    (P,) = _conjugates(_rand_word(below, n, word_length), [canonical_block(a, b, p)])
     prof = profile(P)
     if (prof.a, prof.b, prof.p) != (a, b, p):
         raise RuntimeError("conjugation did not preserve the profile")
@@ -171,16 +171,17 @@ def _suite_order3(n: int, rng: random.Random) -> tuple[Callable, Callable]:
     """Order-three products: constructive witness for non-diagonalizable
     involutions; never order three for products of two conjugates of a
     sign-diagonalizable involution (each trial samples five such pairs)."""
+    below, _ = _draws(rng)
 
     def sample(t: int) -> dict:
-        p = rng.randint(1, n // 2)
+        p = 1 + below(n // 2)
         rem = n - 2 * p
-        a = rng.randint(0, rem)
-        P = _sample_involution(rng, n, a, rem - a, p)
+        a = below(rem + 1)
+        P = _sample_involution(below, n, a, rem - a, p)
         pairs = []
         for _ in range(5):
-            D = IntMatrix.diagonal([rng.choice((1, -1)) for _ in range(n)])
-            pairs.append(tuple(_conjugates(_rand_word(rng, n), [D])[0] for _ in range(2)))
+            D = IntMatrix.diagonal([(1, -1)[below(2)] for _ in range(n)])
+            pairs.append(tuple(_conjugates(_rand_word(below, n), [D])[0] for _ in range(2)))
         return {"P": P, "pairs": pairs}
 
     def check(t: int, P: IntMatrix, pairs) -> None:
@@ -206,18 +207,19 @@ def _suite_two_involution_products(n: int, rng: random.Random) -> tuple[Callable
     sigma0 = canonical_block(a, 0, b // 2) * IntMatrix.diagonal([1] * a + [1, -1] * (b // 2))
 
     flips = [IntMatrix.diagonal([-1 if r == k else 1 for r in range(n)]) for k in range(n)]
+    below, pick = _draws(rng)
 
     def sample(t: int) -> dict:
         # U (I - 2 e_k e_k^T) U^-1: coordinate reflections conjugated by U
         if t % 2 == 0:  # two coordinates, one basis
-            word = _rand_word(rng, n)
-            phi1, phi2 = _conjugates(word, [flips[k] for k in rng.sample(range(n), 2)])
+            word = _rand_word(below, n)
+            phi1, phi2 = _conjugates(word, [flips[k] for k in pick(n, 2)])
         else:  # the last coordinate, two bases
-            phi1, phi2 = (_conjugates(_rand_word(rng, n), [flips[-1]])[0] for _ in range(2))
+            phi1, phi2 = (_conjugates(_rand_word(below, n), [flips[-1]])[0] for _ in range(2))
         for phi in (phi1, phi2):
             if classify(phi).name != EXTREMAL:
                 raise RuntimeError("sample left the extremal class")
-        rho, sigma = _conjugates(_rand_word(rng, n), [rho0, sigma0])
+        rho, sigma = _conjugates(_rand_word(below, n), [rho0, sigma0])
         return {"phi1": phi1, "phi2": phi2, "rho": rho, "sigma": sigma}
 
     def check(t: int, phi1: IntMatrix, phi2: IntMatrix, rho: IntMatrix, sigma: IntMatrix) -> None:
@@ -238,17 +240,18 @@ def _suite_four_involutions(n: int, rng: random.Random) -> tuple[Callable, Calla
     non-diagonalizable involution the constructive witness does produce a
     4-involution."""
     identity = IntMatrix.identity(n)
+    below, _ = _draws(rng)
 
     def sample(t: int) -> dict:
         # negated rank 1 on even trials, fixed rank 1 on odd ones
         shape = (n - 2, 0, 1) if t % 2 == 0 else (0, n - 2, 1)
-        pi1 = _sample_involution(rng, n, *shape, word_length=6)
-        pi2 = _sample_involution(rng, n, *shape, word_length=6)
+        pi1 = _sample_involution(below, n, *shape, word_length=6)
+        pi2 = _sample_involution(below, n, *shape, word_length=6)
         # an involution eligible for the constructive witness
-        p = rng.randint(1, 3)
+        p = 1 + below(3)
         rem = n - 2 * p
-        a = rng.randint(1, rem - 1) if p == 1 else rng.randint(0, rem)
-        return {"pi1": pi1, "pi2": pi2, "P": _sample_involution(rng, n, a, rem - a, p)}
+        a = 1 + below(rem - 1) if p == 1 else below(rem + 1)
+        return {"pi1": pi1, "pi2": pi2, "P": _sample_involution(below, n, a, rem - a, p)}
 
     def check(t: int, pi1: IntMatrix, pi2: IntMatrix, P: IntMatrix) -> None:
         prod = pi1 * pi2
@@ -271,16 +274,18 @@ def _suite_four_involutions(n: int, rng: random.Random) -> tuple[Callable, Calla
 
 
 def _random_2x2_involution(rng: random.Random) -> IntMatrix:
-    a = rng.randint(-4, 4)
+    below, _ = _draws(rng)
+    a = below(9) - 4
     rest = 1 - a * a
     if rest == 0:
-        if rng.random() < 0.5:
-            b, c = 0, rng.randint(-5, 5)
+        # rng.random() < 0.5 as an exact draw (see exactmat._random_word)
+        if rng.getrandbits(64) & 0xFFFFFFFF < 1 << 31:
+            b, c = 0, below(11) - 5
         else:
-            b, c = rng.randint(-5, 5), 0
+            b, c = below(11) - 5, 0
     else:
         divisors = [d for d in range(1, abs(rest) + 1) if rest % d == 0]
-        b = rng.choice(divisors) * rng.choice((1, -1))
+        b = divisors[below(len(divisors))] * (1, -1)[below(2)]
         c = rest // b
     return IntMatrix(((a, b), (c, -a)))
 
@@ -293,11 +298,12 @@ def _suite_commutant_shape(n: int, rng: random.Random) -> tuple[Callable, Callab
     phi = _embed2(IntMatrix.diagonal((1, -1)), n)
     theta = _embed2(IntMatrix.diagonal((-1, -1)), n)
     tau = _embed2(IntMatrix(((1, 2), (0, 1))), n)
+    below, _ = _draws(rng)
 
     def sample(t: int) -> dict:
         if t % 2 == 0:
-            e = rng.choice((1, -1))
-            block = IntMatrix(((e, rng.randint(-6, 6)), (0, -e)))
+            e = (1, -1)[below(2)]
+            block = IntMatrix(((e, below(13) - 6), (0, -e)))
         else:
             block = _random_2x2_involution(rng)
         return {"rho": _embed2(block, n)}
@@ -336,12 +342,13 @@ def _suite_shared_summand(n: int, rng: random.Random) -> tuple[Callable, Callabl
     is twice the content of the connecting coefficient vector."""
     e0, zero = _identity_rows(n)[0], (0,) * (n - 2)
     reflect_e0 = _reflection(e0, e0)
+    below, _ = _draws(rng)
 
     def sample(t: int) -> dict:
-        word = _rand_word(rng, n)
-        coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
+        word = _rand_word(below, n)
+        coeffs = [below(7) - 3 for _ in range(n - 1)]
         if not any(coeffs):
-            coeffs[rng.randrange(n - 1)] = rng.choice((1, 2, 3))
+            coeffs[below(n - 1)] = 1 + below(3)
         kind = t % 3
         if kind == 0:  # shared fixed hyperplane, distinct negated lines
             R = _reflection((1, *coeffs), e0)
@@ -379,14 +386,15 @@ def _suite_summand_encoding(n: int, rng: random.Random) -> tuple[Callable, Calla
     determine the same summand exactly when every cross product is an
     equality or an even transvection."""
     identity = _identity_rows(n)
+    below, _ = _draws(rng)
 
     def sample(t: int) -> dict:
-        word = _rand_word(rng, n)
+        word = _rand_word(below, n)
 
         def distinct_coeffs():
             seen: dict = {}
             while len(seen) < 4:
-                seen.setdefault(tuple(rng.randint(-2, 2) for _ in range(n - 1)))
+                seen.setdefault(tuple(below(5) - 2 for _ in range(n - 1)))
             return list(seen)
 
         c1, c2, c3, c4 = distinct_coeffs()
@@ -424,14 +432,15 @@ def _suite_commuting_family(n: int, rng: random.Random) -> tuple[Callable, Calla
     by rejection of random conjugates, its extremal centralizer is itself.
     The exhaustive pass is trial -1 and samples nothing."""
     family = standard_commuting_family(n)
+    below, _ = _draws(rng)
 
     def sample(t: int) -> dict:
         if t < 0:
             return {}
-        p = rng.randint(0, n // 2)
+        p = below(n // 2 + 1)
         rem = n - 2 * p
-        a = rng.randint(0, rem)
-        return {"P": _sample_involution(rng, n, a, rem - a, p)}
+        a = below(rem + 1)
+        return {"P": _sample_involution(below, n, a, rem - a, p)}
 
     def check(t: int, P: IntMatrix | None = None) -> None:
         if t >= 0:
@@ -492,20 +501,24 @@ def _random_gamma2(rng: random.Random, n: int, length: int = 10) -> tuple[IntMat
 def _line_mover(target: Vector, i: int, n: int, power: int) -> IntMatrix:
     """For power 1 a level-2 element of determinant 1 sending e_i to the
     primitive vector target = e_i mod 2, for power -1 its inverse: V C^power
-    V^-1 = I + [e_i, g] (C^power - I) V^-1[:2], for g the even remainder
-    direction, C the row completion in the plane of e_i and g, and V
-    unimodular with first columns e_i and g."""
+    V^-1 = I + [e_i, g] (C^power - I) R, for g the even remainder direction,
+    C the row completion in the plane of e_i and g, and R the rows e_i and
+    w, with w g = 1 and w_i = 0 from a running xgcd.  R [e_i, g] = I_2, so
+    R is the top of V^-1 for V = [e_i, g, a basis of ker R]."""
     a = target[i]
     rest = [x if t != i else 0 for t, x in enumerate(target)]
     if not any(rest):
         # target = a e_i with a = +-1; the same sign on e_{i+1} keeps det 1
         return IntMatrix.diagonal([a if r in (i, (i + 1) % n) else 1 for r in range(n)])
     c2, g = content_and_primitive(rest)
-    cols = (_identity_rows(n)[i], g)
-    left, R = tuple(zip(*cols)), _unimodular_frame(cols, n)[:2]
+    w, h = [], 0  # w g[:len(w)] = h; w_i = 0 as g_i = 0
+    for x in g:
+        h, s, t = _xgcd(h, x)
+        w = [s * v for v in w] + [t]
+    e_i = _identity_rows(n)[i]
     (a, b, _), (c, d, _), _ = lift_row_to_sl3(a, c2).rows
     core = ((a - 1, b), (c, d - 1)) if power == 1 else ((d - 1, -b), (-c, a - 1))
-    return _rank_update(IntMatrix.identity(n), left, core, R)
+    return _rank_update(IntMatrix.identity(n), tuple(zip(e_i, g)), core, (e_i, w))
 
 
 def _suite_congruence_summands(n: int, rng: random.Random) -> tuple[Callable, Callable]:
@@ -513,29 +526,34 @@ def _suite_congruence_summands(n: int, rng: random.Random) -> tuple[Callable, Ca
     a member moves every coordinate line and hyperplane exactly like a
     constructed level-2 element; a non-member breaks the parity pattern of
     the coefficients on some coordinate pair."""
-    identity = _identity_rows(n)
-    hyperplanes = [Lattice(n, identity[:i] + identity[i + 1 :]) for i in range(n)]
+    below, _ = _draws(rng)
 
     def sample(t: int) -> dict:
         sigma, sigma_inv = _random_gamma2(rng, n)
         if not in_gamma(sigma, 2):
             raise RuntimeError("sampled element is not a level-2 member")
-        outside = random_unimodular(n, 8, 2, rng.randrange(1 << 30))
+        outside = random_unimodular(n, 8, 2, below(1 << 30))
         if in_gamma(outside, 2):
             outside = outside * IntMatrix.elementary(n, 0, 1, 1)
         return {"sigma": sigma, "sigma_inv": sigma_inv, "outside": outside}
 
     def check(t: int, sigma: IntMatrix, sigma_inv: IntMatrix, outside: IntMatrix) -> None:
+        w_sigma = (sigma_inv * sigma).rows  # row i is w sigma for w = sigma_inv.rows[i]
         for i in range(n):
             mover = _line_mover(sigma.column(i), i, n, 1)
             if mover.column(i) != sigma.column(i):
                 raise _TrialFailure("line mover misses the image vector")
             if mover.det() != 1 or not mover.mod(2).is_identity():
                 raise _TrialFailure("line mover leaves the congruence subgroup")
-            rho = _line_mover(sigma_inv.rows[i], i, n, -1).transpose()
-            if rho.det() != 1 or not rho.mod(2).is_identity():
+            # rho, the transpose of rho_t, moves the hyperplane H_i = ker e_i^T
+            w = sigma_inv.rows[i]
+            rho_t = _line_mover(w, i, n, -1)
+            if rho_t.det() != 1 or not rho_t.mod(2).is_identity():
                 raise _TrialFailure("hyperplane mover leaves the congruence subgroup")
-            if sigma * hyperplanes[i] != rho * hyperplanes[i]:
+            # sigma and rho are unimodular, so sigma H_i and rho H_i are
+            # saturated of rank n - 1, and equal once both lie in ker w, w != 0
+            w_rho = rho_t.apply(w)
+            if not any(w) or any(w_sigma[i][j] or w_rho[j] for j in range(n) if j != i):
                 raise _TrialFailure("hyperplane images differ")
         if outside.mod(2).is_identity():
             raise _TrialFailure("non-member shows no parity violation")

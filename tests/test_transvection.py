@@ -9,8 +9,15 @@ from glnz.exactmat import (
     content_and_primitive,
     random_unimodular,
 )
-from glnz.involution import involution_from_splitting
+from glnz.involution import (
+    EXTREMAL,
+    canonical_block,
+    eigen_lattices,
+    involution_from_splitting,
+    profile,
+)
 from glnz.transvection import (
+    MutualSubgroup,
     make_transvection,
     mutual_subgroup,
     recognize_transvection,
@@ -260,3 +267,87 @@ class TestSharedSummandPredicate:
         assert (mutual_subgroup(P, Q) is not None) == shared
         with pytest.raises(ValueError, match="extremal"):
             mutual_subgroup(IntMatrix.diagonal((-1, -1, 1)), P)
+
+
+def reference_mutual_subgroup(P, Q):
+    """mutual_subgroup by the eigen lattices and the GF(3)/GF(2) profile of
+    each input, with no rank-1 shortcut."""
+    if P == Q:
+        raise ValueError("involutions must be distinct")
+    summands = []
+    for M in (P, Q):
+        plus, minus = eigen_lattices(M)
+        if profile(M).kind.name != EXTREMAL:
+            raise ValueError("inputs must be extremal involutions")
+        summands.append((plus, minus))
+    (p_plus, p_minus), (q_plus, q_minus) = summands
+    if p_plus == q_plus:
+        shared, side = p_plus, "plus"
+    elif p_minus == q_minus:
+        shared, side = p_minus, "minus"
+    else:
+        return None
+    return MutualSubgroup(shared=shared, side=side, product_m=recognize_transvection(Q * P).m)
+
+
+def _outcome(f, P, Q):
+    try:
+        return f(P, Q)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _conjugate(B, seed):
+    U = random_unimodular(B.n, 8, 2, seed)
+    return U * B * U.inverse()
+
+
+class TestMutualSubgroupOracle:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_reflection_pairs_on_every_side(self, n):
+        # L1_7's conjugated reflection pairs: shared hyperplane, shared line
+        # and disjoint, in turn
+        from glnz.verify import _SUITES
+
+        sides = set()
+        for seed in range(4):
+            sample, _ = _SUITES["L1_7"][0](n, random.Random(seed))
+            for t in range(12):
+                drawn = sample(t)
+                P, Q = drawn["P"], drawn["Q"]
+                result = mutual_subgroup(P, Q)
+                assert result == reference_mutual_subgroup(P, Q)
+                assert mutual_subgroup(Q, P) == reference_mutual_subgroup(Q, P)
+                sides.add(None if result is None else result.side)
+        assert sides == {"plus", "minus", None}
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_independent_conjugates(self, n):
+        base = IntMatrix.diagonal([-1] + [1] * (n - 1))
+        for seed in range(10):
+            P, Q = _conjugate(base, 2 * seed), _conjugate(base, 2 * seed + 1)
+            assert _outcome(mutual_subgroup, P, Q) == _outcome(reference_mutual_subgroup, P, Q)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_other_profile_is_rejected_alike(self, n):
+        shapes = [(a, n - a - 2 * p, p) for p in range(n // 2 + 1) for a in range(n - 2 * p + 1)]
+        others = [
+            _conjugate(canonical_block(*shape), 100 * n + k)
+            for k, shape in enumerate(shapes)
+            if shape != (n - 1, 1, 0)
+        ]
+        # non-involutions: a unit and a double shear, a transvection of
+        # rank-1 defect, and a rank-1 update with delta(x) = -3
+        others += [
+            IntMatrix.elementary(n, 0, 1, 1),
+            IntMatrix.elementary(n, 1, 0, 2),
+            make_transvection([0] * (n - 1) + [2], [1] + [0] * (n - 1)),
+            IntMatrix.diagonal([-2] + [1] * (n - 1)),
+        ]
+        reflections = [_conjugate(IntMatrix.diagonal([-1] + [1] * (n - 1)), s) for s in (1, 2)]
+        for M in others:
+            for N in others + reflections:
+                for pair in ((M, N), (N, M)):
+                    expected = _outcome(reference_mutual_subgroup, *pair)
+                    assert expected[0] == "ValueError"
+                    assert _outcome(mutual_subgroup, *pair) == expected

@@ -1,12 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glnz.congruence import lift_row_to_sl3
-from glnz.exactmat import IntMatrix, basis_completion, content_and_primitive
+from glnz.exactmat import IntMatrix, _kernel_vectors, _xgcd, content_and_primitive
 from glnz.verify import SUITE_IDS, _SUITES, _embed2, _line_mover, _random_gamma2, run_suite
 
 
@@ -366,16 +367,43 @@ def test_random_gamma2_carries_its_inverse(n, seed, length):
     assert sigma_inv == sigma.inverse()
 
 
+def _dense_inverse(M):
+    """M^-1 by Gauss-Jordan elimination over the rationals, for a
+    unimodular M."""
+    n = M.n
+    A = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(M.rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if A[r][col])
+        A[col], A[pivot] = A[pivot], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col]:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    assert all(x.denominator == 1 for row in A for x in row[n:])
+    return IntMatrix(tuple(tuple(int(x) for x in row[n:]) for row in A))
+
+
 def reference_line_mover(target, i, n):
-    """The line mover as V C V^-1, by two dense products and an HNF
-    inverse: the construction the rank-2 update replaces."""
+    """The line mover as V C V^-1 for V = [e_i, g, a basis of ker R], R the
+    rows e_i and w, w the running-xgcd covector of g, by two dense products
+    and a rational inverse: the construction the rank-2 update replaces."""
     rest = [x if t != i else 0 for t, x in enumerate(target)]
     if not any(rest):
         partner = (i + 1) % n
         return IntMatrix.diagonal([target[i] if r in (i, partner) else 1 for r in range(n)])
     c2, g = content_and_primitive(rest)
-    V = basis_completion([IntMatrix.identity(n).column(i), g])
-    return V * _embed2(lift_row_to_sl3(target[i], c2), n) * V.inverse()
+    w, h = [0] * n, 0
+    for j, x in enumerate(g):
+        if x:
+            h, s, t = _xgcd(h, x)
+            w = [s * v for v in w]
+            w[j] = t
+    assert h == 1 and w[i] == 0 and sum(a * b for a, b in zip(w, g)) == 1
+    e_i = IntMatrix.identity(n).column(i)
+    V = IntMatrix.from_columns([e_i, g, *_kernel_vectors([e_i, w])])
+    return V * _embed2(lift_row_to_sl3(target[i], c2), n) * _dense_inverse(V)
 
 
 @given(st.integers(3, 7), st.integers(0, 2**32), st.integers(0, 12))
@@ -392,6 +420,41 @@ def test_line_mover_is_the_conjugated_row_completion(n, seed, length):
             assert mover_inv == reference_line_mover(target, i, n).inverse()
             assert mover.column(i) == tuple(target)
             assert (mover * mover_inv).is_identity()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_hyperplane_certificate_rejects_a_mover_that_moves_the_hyperplane(n, monkeypatch):
+    # rho composed with the level-2 shear I + 2 E_{i,i+1} sends e_{i+1} in
+    # H_i to e_{i+1} + 2 e_i outside it: rho H_i then differs from sigma
+    # H_i while rho keeps determinant 1 and level 2
+    import glnz.verify as verify_module
+
+    real_mover = verify_module._line_mover
+
+    def moving(target, i, n, power):
+        mover = real_mover(target, i, n, power)
+        if power == -1:  # the transpose of rho * (I + 2 E_{i,i+1})
+            return IntMatrix.elementary(n, (i + 1) % n, i, 2) * mover
+        return mover
+
+    monkeypatch.setattr(verify_module, "_line_mover", moving)
+    report = run_suite("C2_1_claim3", n, 4, seed=3)
+    assert [(f["trial"], f["category"], f["reason"]) for f in report.failures] == [
+        (t, "counterexample", "hyperplane images differ") for t in range(4)
+    ]
+
+
+def test_congruence_summands_build_no_lattice(monkeypatch):
+    # the hyperplane images are compared by a covector, the line movers
+    # completed by an xgcd covector: no Hermite form of a Lattice or frame
+    import glnz.exactmat as exactmat
+
+    built = []
+    real_init = exactmat.Lattice.__post_init__
+    monkeypatch.setattr(exactmat.Lattice, "__post_init__", lambda L: built.append(L) or real_init(L))
+    monkeypatch.setattr(exactmat, "row_hermite", None)
+    assert run_suite("C2_1_claim3", 4, 5, 42).passed
+    assert built == []
 
 
 def test_congruence_summands_invert_nothing_and_take_each_det_once(monkeypatch):
