@@ -39,10 +39,6 @@ class TransvectionData:
         return make_transvection(self.delta, self.x)
 
 
-def _dot(u: Vector, v: Vector) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def make_transvection(delta, x) -> IntMatrix:
     """The automorphism a -> a + delta(a) x, as a matrix I + x (x) delta."""
     delta, x = _vec(delta), _vec(x)
@@ -54,7 +50,7 @@ def make_transvection(delta, x) -> IntMatrix:
     content, _ = content_and_primitive(x)
     if content != 1:
         raise ValueError("direction vector must be primitive")
-    if _dot(delta, x) != 0:
+    if sum(d * e for d, e in zip(delta, x)) != 0:
         raise ValueError("covector must vanish on the direction vector")
     return _rank_update(IntMatrix.identity(n), tuple(zip(x)), ((1,),), (delta,))
 
@@ -85,7 +81,7 @@ def recognize_transvection(M: IntMatrix) -> TransvectionData | None:
     opposite sign is absorbed into x.
     """
     factors = _rank_one(M.shifted(-1))
-    if factors is None or _dot(*factors):
+    if factors is None or sum(d * e for d, e in zip(*factors)):
         return None
     x, delta = factors
     return TransvectionData(x=x, delta=delta, m=content_and_primitive(delta)[0])
@@ -123,10 +119,10 @@ def mutual_subgroup(P: IntMatrix, Q: IntMatrix) -> MutualSubgroup | None:
     factors = []
     for M in (P, Q):  # the first input in full before the second
         _demand_involution(M)
-        # extremal: a reflection I + x (x) delta, delta(x) = -2, with no
-        # swap pair (delta even) and fixed rank above negated rank (n >= 3)
+        # a reflection I + x (x) delta, delta(x) = -2 as M^2 = I; extremal when
+        # delta is even (no swap pair) and n >= 3 (fixed rank above negated)
         f = _rank_one(M.shifted(-1))
-        if f is None or _dot(*f) != -2 or M.n < 3 or any(d % 2 for d in f[1]):
+        if f is None or M.n < 3 or any(d % 2 for d in f[1]):
             raise ValueError("inputs must be extremal involutions")
         factors.append(f)
     # P negates Z x and fixes ker delta, Q negates Z y and fixes ker eps

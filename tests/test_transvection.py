@@ -250,9 +250,8 @@ class TestSharedSummandPredicate:
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_profiles_come_from_the_eigen_lattices(self, monkeypatch, shared):
-        # the eigen lattices already have ranks a + p and b + p; only the
-        # GF(2) rank p is computed on top of them, not the GF(3) ranks that
-        # profile reads a + p and b + p from
+        # extremality is read from the rank-1 factorisation of P - I, not
+        # from the GF(3) ranks that profile reads a + p and b + p from
         import glnz.involution as involution
 
         def rank_mod3(M):
