@@ -173,24 +173,17 @@ def cmd_canon(args) -> int:
 
 def cmd_factor(args) -> int:
     M = _read_document(args.file)
-    factorization = congruence.elementary_factorization(M)
-    classes = congruence.factor_mod2_classes(factorization)
+    word = congruence._elementary_word(M)
+    # an even shear I + c E_ij is the square of I + (c/2) E_ij
     _emit(
         {
-            "n": factorization.n,
-            "length": len(factorization),
-            "round_trip": True,  # elementary_factorization checked the product
+            "n": M.n,
+            "length": len(word),
+            "round_trip": True,  # _elementary_word checked the product
             "factors": [
-                {
-                    "i": f.i,
-                    "j": f.j,
-                    "c": _encode_int(f.c),
-                    "trivial_mod2": cls.trivial_mod2,
-                    "square_root_c": (
-                        _encode_int(cls.square_root.c) if cls.square_root else None
-                    ),
-                }
-                for f, cls in zip(factorization.factors, classes)
+                {"i": i, "j": j, "c": _encode_int(c), "trivial_mod2": c % 2 == 0,
+                 "square_root_c": None if c % 2 else _encode_int(c // 2)}
+                for i, j, c in word
             ],
         }
     )

@@ -79,16 +79,25 @@ def elementary_factorization(M: IntMatrix) -> Factorization:
     recorded operations invert to the factorization.  No length bound is
     promised; the length is whatever the reduction produces.
     """
+    return Factorization(M.n, tuple(ElementaryFactor(*f) for f in _elementary_word(M)))
+
+
+def _elementary_word(M: IntMatrix) -> tuple[tuple[int, int, int], ...]:
+    """The factors (i, j, c) of ``elementary_factorization(M)``, left to
+    right, checked the same way: their product is M."""
     n = M.n
     if n < 2:
         raise ValueError("rank must be at least 2")
     A = [list(r) for r in M.rows]
-    ops: list[tuple[int, int, int]] = []
+    # E_k ... E_1 M = I for the row operations E, so M = E_1^-1 ... E_k^-1
+    # in the original order: each operation adding c * row j to row i
+    # records its inverse (i, j, -c)
+    word: list[tuple[int, int, int]] = []
 
     def rowop(i: int, j: int, c: int) -> None:
         if c:
             A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-            ops.append((i, j, c))
+            word.append((i, j, -c))
 
     for col in range(n):
         i0 = _euclid_column(A, col, col, lambda i, j, q: rowop(i, j, -q))
@@ -109,12 +118,9 @@ def elementary_factorization(M: IntMatrix) -> Factorization:
                 rowop(i, col, -A[i][col])
     if any(A[i][j] != (i == j) for i in range(n) for j in range(n)):
         raise RuntimeError("reduction did not reach the identity")
-    # ops give E_k ... E_1 M = I, so M = E_1^-1 ... E_k^-1 in original order
-    factors = tuple(ElementaryFactor(i, j, -c) for (i, j, c) in ops)
-    result = Factorization(n=n, factors=factors)
-    if result.product() != M:
+    if _shear_word(n, word) != M:
         raise RuntimeError("factorization does not reproduce the input")
-    return result
+    return tuple(word)
 
 
 @dataclass(frozen=True)

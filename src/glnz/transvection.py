@@ -118,10 +118,13 @@ def mutual_subgroup(P: IntMatrix, Q: IntMatrix) -> MutualSubgroup | None:
         raise ValueError("involutions must be distinct")
     factors = []
     for M in (P, Q):  # the first input in full before the second
-        _demand_involution(M)
-        # a reflection I + x (x) delta, delta(x) = -2 as M^2 = I; extremal when
-        # delta is even (no swap pair) and n >= 3 (fixed rank above negated)
+        # M = I + x (x) delta squares to I + (2 + delta(x)) x (x) delta: an
+        # involution exactly when delta(x) = -2, so only other inputs are squared
         f = _rank_one(M.shifted(-1))
+        if f is None or sum(a * b for a, b in zip(*f)) != -2:
+            _demand_involution(M)
+        # a reflection, extremal when delta is even (no swap pair) and n >= 3
+        # (fixed rank above negated)
         if f is None or M.n < 3 or any(d % 2 for d in f[1]):
             raise ValueError("inputs must be extremal involutions")
         factors.append(f)

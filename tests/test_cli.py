@@ -26,6 +26,27 @@ def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def seeded_shear_word(rng, n, digits):
+    """A product of shears I + c E_ij, c in +-[1, 99], grown until an entry
+    has at least the given number of digits."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    while max(len(str(abs(x))) for r in rows for x in r) < digits:
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(1, 99) * rng.choice((1, -1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
+def shear_product(n, word):
+    """The product of the shears I + c E_ij over word, left to right, by
+    column operations on plain lists."""
+    prod = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in word:
+        for row in prod:
+            row[j] += c * row[i]
+    return prod
+
+
 class TestMatrixDocuments:
     def test_round_trip_small(self):
         M = IntMatrix(((0, 1), (1, 0)))
@@ -266,6 +287,45 @@ class TestFactorCommand:
         assert [(f["i"], f["j"], f["c"]) for f in doc["factors"]] == [
             (f.i, f.j, f.c) for f in F.factors
         ]
+
+    ORACLE_INPUTS = [(2, 8, 0), (3, 15, 1), (4, 22, 2), (5, 30, 3), (6, 37, 4)]  # n, digits, seed
+
+    def test_oracle_inputs_have_odd_even_and_negative_c(self):
+        signs = {
+            (f.c % 2, f.c < 0)
+            for n, digits, seed in self.ORACLE_INPUTS
+            for f in congruence.elementary_factorization(
+                seeded_shear_word(random.Random(seed), n, digits)
+            ).factors
+        }
+        assert signs == {(0, False), (0, True), (1, False), (1, True)}
+
+    @pytest.mark.parametrize(("n", "digits", "seed"), ORACLE_INPUTS)
+    def test_output_equals_library_payload(self, capsys, monkeypatch, n, digits, seed):
+        M = seeded_shear_word(random.Random(seed), n, digits)
+        assert max(len(str(abs(x))) for r in M.rows for x in r) >= digits
+        doc = json.dumps(matrix_payload(M))
+        F = congruence.elementary_factorization(M)
+        classes = congruence.factor_mod2_classes(F)
+        expected = json.dumps({
+            "n": F.n,
+            "length": len(F),
+            "round_trip": True,
+            "factors": [
+                {"i": f.i, "j": f.j, "c": _encode_int(f.c), "trivial_mod2": cls.trivial_mod2,
+                 "square_root_c": _encode_int(cls.square_root.c) if cls.square_root else None}
+                for f, cls in zip(F.factors, classes)
+            ],
+        }) + "\n"
+        assert run_cli(capsys, ["factor"], doc, monkeypatch) == (0, expected, "")
+
+        # the command builds no factor or class objects
+        def refuse(*args, **kwargs):
+            raise AssertionError("factor object built")
+
+        monkeypatch.setattr(congruence, "ElementaryFactor", refuse)
+        monkeypatch.setattr(congruence, "FactorClass", refuse)
+        assert run_cli(capsys, ["factor"], doc, monkeypatch) == (0, expected, "")
 
     def test_determinant_minus_one_exits_3(self, capsys, monkeypatch):
         code, _, _ = run_cli(capsys, ["factor"], SWAP_DOC, monkeypatch)
@@ -530,7 +590,7 @@ class TestInternalError:
         def broken(M):
             raise RuntimeError("factorization does not reproduce the input")
 
-        monkeypatch.setattr(congruence, "elementary_factorization", broken)
+        monkeypatch.setattr(congruence, "_elementary_word", broken)
         code, out, err = run_cli(capsys, ["factor"], SWAP_DOC, monkeypatch)
         assert code == 5
         assert out == ""
@@ -539,9 +599,7 @@ class TestInternalError:
 
     def test_wrong_product_exits_5_with_empty_stdout(self, capsys, monkeypatch):
         # round_trip in the output rests on this postcondition of the library
-        monkeypatch.setattr(
-            congruence.Factorization, "product", lambda self: IntMatrix.identity(self.n)
-        )
+        monkeypatch.setattr(congruence, "_shear_word", lambda n, word: IntMatrix.identity(n))
         code, out, err = run_cli(
             capsys, ["factor"], '{"n":2,"rows":[[0,-1],[1,0]]}', monkeypatch
         )
@@ -627,6 +685,36 @@ class TestResultsOverDigitLimit:
         assert abs(U.det()) == 1 and P * U == U * involution.canonical_block(1, 0, 1)
         assert (W * W).is_identity() and product == P * W and (product**3).is_identity()
         assert out["gamma"]["member"] == P.mod(2).is_identity()
+
+
+    @given(st.integers(-(10**1000), 10**1000))
+    @example(10**1000)
+    @settings(max_examples=4, deadline=None)
+    def test_factor_round_trip_of_rank3_shear_words(self, c):
+        # E01(c) E12(c + 2) E20(c + 4): entries of about three times c's digits
+        E = IntMatrix.elementary
+        M = E(3, 0, 1, c) * E(3, 1, 2, c + 2) * E(3, 2, 0, c + 4)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (
+            mock.patch.object(sys, "stdin", io.StringIO(json.dumps(matrix_payload(M)))),
+            contextlib.redirect_stdout(stdout),
+            contextlib.redirect_stderr(stderr),
+        ):
+            code = main(["factor"])
+        assert (code, stderr.getvalue()) == (0, "")
+        with no_digit_limit():
+            result = json.loads(stdout.getvalue())
+            factors = result["factors"]
+            word = [(f["i"], f["j"], int(f["c"])) for f in factors]
+            roots = [None if f["square_root_c"] is None else int(f["square_root_c"])
+                     for f in factors]
+        assert result["n"] == 3 and result["length"] == len(word)
+        assert result["round_trip"] is True
+        assert shear_product(3, word) == [list(r) for r in M.rows]
+        for f, (_, _, cf), root in zip(factors, word, roots):
+            assert f["trivial_mod2"] == (cf % 2 == 0)
+            assert (root is None) == (cf % 2 == 1)
+            assert root is None or 2 * root == cf
 
 
 class TestFileInput:

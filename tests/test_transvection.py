@@ -211,7 +211,29 @@ class TestMutualSubgroup:
 
         monkeypatch.setattr(IntMatrix, "__mul__", mul)
         assert (mutual_subgroup(P, Q) is not None) == shared
-        assert sorted(squared) == sorted([P.rows, Q.rows])
+        # an extremal input is a reflection with delta(x) = -2, never squared
+        assert squared == []
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            IntMatrix.diagonal((2, 1, 1)),  # I + e0 (x) e0: delta odd, delta(x) = 1
+            IntMatrix.diagonal((3, 1, 1)),  # delta = 2 e0 even, delta(x) = 2
+            IntMatrix.diagonal((-3, 1, 1)),  # delta even, delta(x) = -4
+            IntMatrix.elementary(3, 0, 1, 2),  # a transvection: delta(x) = 0
+            IntMatrix.diagonal((2, 1)),  # n = 2
+        ],
+        ids=["diag(2,1,1)", "diag(3,1,1)", "diag(-3,1,1)", "E01(2)", "diag(2,1)"],
+    )
+    def test_rank_one_non_involution_is_refused_before_extremality(self, M):
+        # M - I has rank one but delta(x) != -2, so M^2 != I: the involution
+        # check comes first, as when every input was squared
+        other = IntMatrix.diagonal([-1, -1] + [1] * (M.n - 2))  # not extremal
+        with pytest.raises(ValueError, match="not an involution"):
+            mutual_subgroup(M, other)
+        if M.n >= 3:
+            with pytest.raises(ValueError, match="not an involution"):
+                mutual_subgroup(IntMatrix.diagonal((-1, 1, 1)), M)
 
 
 class TestSharedSummandPredicate:

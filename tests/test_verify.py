@@ -65,23 +65,26 @@ def test_shared_summand_suite_at_documented_seed():
 
 
 def test_shared_summand_suite_squares_each_sample_once(monkeypatch):
-    # mutual_subgroup's own involution check is the only square of P and Q
+    # mutual_subgroup reads each sampled reflection's involution check off
+    # delta(x) = -2, so no sampled P or Q is squared
     from collections import Counter
 
     from glnz.exactmat import IntMatrix
 
-    squares = Counter()
+    squares, products = Counter(), []
     original = IntMatrix.__mul__
 
     def mul(self, other):
-        if isinstance(other, IntMatrix) and other == self:
-            squares[self.rows] += 1
+        if isinstance(other, IntMatrix):
+            products.append(self.n)
+            if other == self:
+                squares[self.rows] += 1
         return original(self, other)
 
     monkeypatch.setattr(IntMatrix, "__mul__", mul)
     assert run_suite("L1_7", 4, 30, 42).passed
-    assert len(squares) == 60  # P and Q of every trial
-    assert set(squares.values()) == {1}
+    assert products  # the patched product is the one the checker calls
+    assert squares == Counter()
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 9])
