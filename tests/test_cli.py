@@ -686,7 +686,6 @@ class TestResultsOverDigitLimit:
         assert (W * W).is_identity() and product == P * W and (product**3).is_identity()
         assert out["gamma"]["member"] == P.mod(2).is_identity()
 
-
     @given(st.integers(-(10**1000), 10**1000))
     @example(10**1000)
     @settings(max_examples=4, deadline=None)

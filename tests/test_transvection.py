@@ -226,8 +226,8 @@ class TestMutualSubgroup:
         ids=["diag(2,1,1)", "diag(3,1,1)", "diag(-3,1,1)", "E01(2)", "diag(2,1)"],
     )
     def test_rank_one_non_involution_is_refused_before_extremality(self, M):
-        # M - I has rank one but delta(x) != -2, so M^2 != I: the involution
-        # check comes first, as when every input was squared
+        # M - I has rank one but delta(x) != -2, so M^2 != I: "not an
+        # involution" comes before "not extremal", for either input
         other = IntMatrix.diagonal([-1, -1] + [1] * (M.n - 2))  # not extremal
         with pytest.raises(ValueError, match="not an involution"):
             mutual_subgroup(M, other)
