@@ -291,12 +291,9 @@ def lift_mod2(rows) -> IntMatrix:
 def _lift_mod2_word(rows) -> tuple[IntMatrix, list[tuple[int, int]]]:
     """``lift_mod2(rows)`` and its shear word: the lift is the product of
     the unit shears I + E_ij over the returned (i, j), left to right."""
-    if isinstance(rows, IntMatrix):
-        rows = rows.rows
-    target = tuple(tuple(operator.index(x) % 2 for x in r) for r in rows)
-    n = len(target)
-    if n == 0 or any(len(r) != n for r in target):
-        raise ValueError("matrix must be square and non-empty")
+    if not isinstance(rows, IntMatrix):
+        rows = IntMatrix(rows)
+    n, target = rows.n, rows.mod(2).rows
     # row i as a bit mask, bit j its entry j: an addition is one xor
     rows = [sum(x << j for j, x in enumerate(r)) for r in target]
     ops: list[tuple[int, int]] = []

@@ -198,11 +198,8 @@ class IntMatrix:
     @staticmethod
     def diagonal(entries: Sequence[int]) -> "IntMatrix":
         entries = _vec(entries)
-        n = len(entries)
-        if n == 0:
-            raise ValueError("matrix must be square and non-empty")
-        zero = (0,) * n
-        return _trusted(tuple(zero[:i] + (x,) + zero[i + 1 :] for i, x in enumerate(entries)))
+        rows = zip(_identity_rows(len(entries)), entries)
+        return _trusted(tuple(r[:i] + (x,) + r[i + 1 :] for i, (r, x) in enumerate(rows)))
 
     @staticmethod
     def elementary(n: int, i: int, j: int, c: int) -> "IntMatrix":
@@ -211,13 +208,7 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
-        cols = [_vec(c) for c in cols]
-        n = len(cols)
-        if n == 0:
-            raise ValueError("matrix must be square and non-empty")
-        if any(len(c) != n for c in cols):
-            raise ValueError("columns do not form a square matrix")
-        return _trusted(tuple(zip(*cols)))
+        return IntMatrix(tuple(cols)).transpose()
 
     # -- basic queries ---------------------------------------------------
     @property
@@ -255,10 +246,6 @@ class IntMatrix:
             if other.n != self.n:
                 raise ValueError("dimension mismatch")
             return _trusted(_matmul(self.rows, other.rows))
-        if isinstance(other, Lattice):
-            if other.ambient_rank != self.n:
-                raise ValueError("dimension mismatch")
-            return Lattice(other.ambient_rank, tuple(self.apply(b) for b in other.basis))
         if isinstance(other, (tuple, list)):
             return self.apply(other)
         return NotImplemented
@@ -366,8 +353,6 @@ class Lattice:
         if len(x) != self.ambient_rank:
             raise ValueError("dimension mismatch")
         return _coordinates(self, (x,)) is not None
-
-    __contains__ = contains
 
     def saturate(self) -> "Lattice":
         """Smallest sublattice containing self with torsion-free quotient."""
@@ -606,8 +591,6 @@ def _shear_word(n: int, word: Iterable[tuple]) -> IntMatrix:
     raises TypeError.
     """
     n = operator.index(n)
-    if n < 1:
-        raise ValueError("matrix must be square and non-empty")
     cols = list(_identity_rows(n))  # columns of I: I is its own transpose
     for factor in word:
         if len(factor) == 3:  # column j gains c times column i

@@ -185,8 +185,9 @@ def _rank_profile(P: IntMatrix) -> InvolutionProfile:
     this: [[3]] has rational rank 1 and GF(3) rank 0.  The swap count p
     is the GF(2) rank of P - I.
     """
-    n, p = P.n, rank_mod2(P.shifted(-1))
-    a, b = n - _rank_mod3(P.shifted(-1)) - p, n - _rank_mod3(P.shifted(1)) - p
+    P_minus_I = P.shifted(-1)
+    n, p = P.n, rank_mod2(P_minus_I)
+    a, b = n - _rank_mod3(P_minus_I) - p, n - _rank_mod3(P.shifted(1)) - p
     if a < 0 or b < 0 or a + b + 2 * p != n:
         raise RuntimeError("inconsistent involution invariants")
     return InvolutionProfile(a, b, p)

@@ -47,6 +47,7 @@ from .involution import (
     GAMMA_INVOLUTION,
     ONE_PERMUTATION,
     InvolutionKind,
+    _rank_profile,
     canonical_block,
     classify,
     four_involution_witness,
@@ -206,7 +207,7 @@ def _suite_two_involution_products(n: int, rng: random.Random) -> tuple[Callable
     # each swap block times diag(1, -1) is the rotation [[0, -1], [1, 0]]
     sigma0 = canonical_block(a, 0, b // 2) * IntMatrix.diagonal([1] * a + [1, -1] * (b // 2))
 
-    flips = [IntMatrix.diagonal([-1 if r == k else 1 for r in range(n)]) for k in range(n)]
+    flips = standard_commuting_family(n)
     below, pick = _draws(rng)
 
     def sample(t: int) -> dict:
@@ -225,7 +226,7 @@ def _suite_two_involution_products(n: int, rng: random.Random) -> tuple[Callable
     def check(t: int, phi1: IntMatrix, phi2: IntMatrix, rho: IntMatrix, sigma: IntMatrix) -> None:
         prod = phi1 * phi2
         if not prod.is_identity() and is_involution(prod):
-            if classify(prod) != InvolutionKind(GAMMA_INVOLUTION, 2):
+            if _rank_profile(prod).kind != InvolutionKind(GAMMA_INVOLUTION, 2):
                 raise _TrialFailure("involution in the product set is not a 2-involution")
         if sigma * sigma != rho:
             raise _TrialFailure("rotation construction is not a square root")
@@ -258,7 +259,7 @@ def _suite_four_involutions(n: int, rng: random.Random) -> tuple[Callable, Calla
         if rational_rank(identity - prod) > 2:
             raise _TrialFailure("defect of the product exceeds rank two")
         if not prod.is_identity() and is_involution(prod):
-            if classify(prod) == InvolutionKind(GAMMA_INVOLUTION, 4):
+            if _rank_profile(prod).kind == InvolutionKind(GAMMA_INVOLUTION, 4):
                 raise _TrialFailure("product of single-swap conjugates is a 4-involution")
         # the witness's postcondition checks that P * witness is a 4-involution
         four_involution_witness(P)

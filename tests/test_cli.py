@@ -620,6 +620,19 @@ def no_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def run_in_process(argv, doc):
+    """main(argv) on the document doc, with stdin and both streams
+    redirected: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (
+        mock.patch.object(sys, "stdin", io.StringIO(doc)),
+        contextlib.redirect_stdout(stdout),
+        contextlib.redirect_stderr(stderr),
+    ):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 def rank3_involution(c):
     """U (1 + swap) U^-1 with U = E01(c) E12(c + 2) E20(c + 4)."""
     E = IntMatrix.elementary
@@ -667,16 +680,10 @@ class TestResultsOverDigitLimit:
         doc = json.dumps(matrix_payload(P))
         out = {}
         for argv in (["classify"], ["canon"], ["witness", "--order3"], ["gamma", "--m", "2"]):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with (
-                mock.patch.object(sys, "stdin", io.StringIO(doc)),
-                contextlib.redirect_stdout(stdout),
-                contextlib.redirect_stderr(stderr),
-            ):
-                code = main(argv)
-            assert (code, stderr.getvalue()) == (0, ""), argv
+            code, stdout, stderr = run_in_process(argv, doc)
+            assert (code, stderr) == (0, ""), argv
             with no_digit_limit():
-                out[argv[0]] = json.loads(stdout.getvalue())
+                out[argv[0]] = json.loads(stdout)
         with no_digit_limit():
             U = parse_matrix_document(out["canon"]["U"])
             W = parse_matrix_document(out["witness"]["witness"])
@@ -693,16 +700,10 @@ class TestResultsOverDigitLimit:
         # E01(c) E12(c + 2) E20(c + 4): entries of about three times c's digits
         E = IntMatrix.elementary
         M = E(3, 0, 1, c) * E(3, 1, 2, c + 2) * E(3, 2, 0, c + 4)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with (
-            mock.patch.object(sys, "stdin", io.StringIO(json.dumps(matrix_payload(M)))),
-            contextlib.redirect_stdout(stdout),
-            contextlib.redirect_stderr(stderr),
-        ):
-            code = main(["factor"])
-        assert (code, stderr.getvalue()) == (0, "")
+        code, stdout, stderr = run_in_process(["factor"], json.dumps(matrix_payload(M)))
+        assert (code, stderr) == (0, "")
         with no_digit_limit():
-            result = json.loads(stdout.getvalue())
+            result = json.loads(stdout)
             factors = result["factors"]
             word = [(f["i"], f["j"], int(f["c"])) for f in factors]
             roots = [None if f["square_root_c"] is None else int(f["square_root_c"])
@@ -714,6 +715,42 @@ class TestResultsOverDigitLimit:
             assert f["trivial_mod2"] == (cf % 2 == 0)
             assert (root is None) == (cf % 2 == 1)
             assert root is None or 2 * root == cf
+
+    @given(st.integers(-(10**1000), 10**1000))
+    @example(10**1000)
+    @settings(max_examples=4, deadline=None)
+    def test_lift_mod2_round_trip(self, c):
+        E = IntMatrix.elementary
+        M = E(4, 0, 1, c) * E(4, 1, 3, c + 1) * E(4, 3, 0, c + 2)
+        code, stdout, stderr = run_in_process(["lift", "--mod2"], json.dumps(matrix_payload(M)))
+        assert (code, stderr) == (0, "")
+        with no_digit_limit():
+            result = json.loads(stdout)
+            lift = parse_matrix_document(result["matrix"])
+            reduction = parse_matrix_document(result["reduction"])
+        assert result["det"] == 1 and lift.det() == 1
+        assert reduction == lift.mod(2) == M.mod(2)
+
+    @given(st.integers(-(10**1000), 10**1000), st.sampled_from([(3, 2, 2), (2, 5, 1), (1, 2, 3)]))
+    @example(10**1000, (3, 2, 2))
+    @settings(max_examples=4, deadline=None)
+    def test_four_witness_round_trip(self, c, shape):
+        # P = U B U^-1 for U = E08(c) E84(c + 2) E40(c + 4), entries of
+        # about four times c's digits
+        E = IntMatrix.elementary
+        U = E(9, 0, 8, c) * E(9, 8, 4, c + 2) * E(9, 4, 0, c + 4)
+        U_inv = E(9, 4, 0, -c - 4) * E(9, 8, 4, -c - 2) * E(9, 0, 8, -c)
+        P = U * involution.canonical_block(*shape) * U_inv
+        code, stdout, stderr = run_in_process(["witness", "--four"], json.dumps(matrix_payload(P)))
+        assert (code, stderr) == (0, "")
+        with no_digit_limit():
+            result = json.loads(stdout)
+            W = parse_matrix_document(result["witness"])
+            product = parse_matrix_document(result["product"])
+        assert (W * W).is_identity() and product == P * W
+        kind = involution.classify(product)
+        assert kind == involution.InvolutionKind(involution.GAMMA_INVOLUTION, 4)
+        assert (result["product_kind"], result["product_gamma"]) == (kind.name, kind.gamma)
 
 
 class TestFileInput:

@@ -1,0 +1,24 @@
+"""The experiment scripts run to completion at their smallest sizes."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [
+        ("factor_lengths.py", ["--samples", "5", "--max-rank", "3"]),
+        ("involution_census.py", ["--n", "3", "--per-class", "1"]),
+    ],
+)
+def test_script_exits_0(script, argv):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

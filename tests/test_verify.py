@@ -87,6 +87,36 @@ def test_shared_summand_suite_squares_each_sample_once(monkeypatch):
     assert squares == Counter()
 
 
+@pytest.mark.parametrize(
+    "suite, n, trials, factors",
+    [("L1_4_partial", 5, 40, ("phi1", "phi2")), ("L1_5", 9, 20, ("pi1", "pi2"))],
+)
+def test_involution_product_suites_square_each_product_once(monkeypatch, suite, n, trials, factors):
+    # once is_involution has squared the product, its kind is read off
+    # _rank_profile, which squares nothing
+    from collections import Counter
+
+    sample, check = _SUITES[suite][0](n, random.Random(7))
+    drawn = [sample(t) for t in range(trials)]
+    squares = Counter()
+    original = IntMatrix.__mul__
+
+    def mul(self, other):
+        if isinstance(other, IntMatrix) and other == self:
+            squares[self.rows] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", mul)
+    involutions = 0
+    for t, inputs in enumerate(drawn):
+        prod = original(*(inputs[k] for k in factors))
+        squares.clear()
+        check(t, **inputs)
+        assert squares[prod.rows] <= 1, (t, squares[prod.rows])
+        involutions += not prod.is_identity() and original(prod, prod).is_identity()
+    assert involutions  # some product was classified
+
+
 @pytest.mark.parametrize("n", [3, 4, 6, 9])
 def test_shared_summand_U_conjugates_the_sampled_involutions(n):
     # the checker reads the expected summands off the columns of U, so U
