@@ -30,6 +30,8 @@ from .exactmat import IntMatrix, _trusted, content_and_primitive
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 _DECIMAL = re.compile(r"-?[0-9]+")
+# resource caps, checked before any matrix is built; over one exits 3
+_MAX_DOCUMENT_N, _MAX_VERIFY_N, _MAX_VERIFY_TRIALS = 256, 64, 100_000
 
 
 class ParseError(Exception):
@@ -83,6 +85,8 @@ def parse_matrix_document(doc) -> IntMatrix:
     rows = doc["rows"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError('"n" must be a positive integer')
+    if n > _MAX_DOCUMENT_N:
+        raise ValueError(f'"n" is capped at {_MAX_DOCUMENT_N}')
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f'"rows" must be a list of {n} rows')
     parsed = []
@@ -212,18 +216,17 @@ def cmd_lift(args) -> int:
 
 def cmd_witness(args) -> int:
     M = _read_document(args.file)
-    # the witness postcondition has already formed M * witness
     if args.order3:
-        witness, product = involution._order3_witness(M)
+        witness = involution.order3_witness(M)
         mode, claim = "order3", {"product_order": 3}
     else:
-        witness, product = involution._four_involution_witness(M)
+        witness = involution.four_involution_witness(M)
         mode, claim = "four", {"product_kind": involution.GAMMA_INVOLUTION, "product_gamma": 4}
     _emit(
         {
             "mode": mode,
             "witness": matrix_payload(witness),
-            "product": matrix_payload(product),
+            "product": matrix_payload(M * witness),
             **claim,
         }
     )
@@ -257,6 +260,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n > _MAX_VERIFY_N or args.trials > _MAX_VERIFY_TRIALS:
+        raise ValueError(f"--n is capped at {_MAX_VERIFY_N} and --trials at {_MAX_VERIFY_TRIALS}")
     report = verify.run_suite(args.suite, args.n, args.trials, args.seed)
     _emit(_encode_ints(report.to_jsonable()))
     if any(f["category"] != "counterexample" for f in report.failures):

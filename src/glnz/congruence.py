@@ -294,8 +294,23 @@ def _lift_mod2_word(rows) -> tuple[IntMatrix, list[tuple[int, int]]]:
     if not isinstance(rows, IntMatrix):
         rows = IntMatrix(rows)
     n, target = rows.n, rows.mod(2).rows
+    ops = _mod2_reduction(target)
+    # row additions are involutions mod 2, so the input equals the ops
+    # composed in original order; lifting each with coefficient 1 keeps
+    # the mod-2 value and determinant 1
+    M = _shear_word(n, ((i, j, 1) for i, j in ops))
+    if M.det() != 1 or M.mod(2).rows != target:
+        raise RuntimeError("mod-2 lift postcondition violated")
+    return M, ops
+
+
+def _mod2_reduction(rows) -> list[tuple[int, int]]:
+    """The row additions (i, j), row i += row j, in order, that reduce the
+    square integer rows mod 2 to the identity; ValueError if they are
+    singular over GF(2)."""
+    n = len(rows)
     # row i as a bit mask, bit j its entry j: an addition is one xor
-    rows = [sum(x << j for j, x in enumerate(r)) for r in target]
+    rows = [sum(1 << j for j, x in enumerate(r) if x & 1) for r in rows]
     ops: list[tuple[int, int]] = []
     for col in range(n):
         bit = 1 << col
@@ -311,10 +326,4 @@ def _lift_mod2_word(rows) -> tuple[IntMatrix, list[tuple[int, int]]]:
                 ops.append((i, col))
     if rows != [1 << i for i in range(n)]:
         raise RuntimeError("GF(2) reduction did not reach the identity")
-    # row additions are involutions mod 2, so the input equals the ops
-    # composed in original order; lifting each with coefficient 1 keeps
-    # the mod-2 value and determinant 1
-    M = _shear_word(n, ((i, j, 1) for i, j in ops))
-    if M.det() != 1 or M.mod(2).rows != target:
-        raise RuntimeError("mod-2 lift postcondition violated")
-    return M, ops
+    return ops

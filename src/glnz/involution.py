@@ -15,18 +15,19 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .congruence import _lift_mod2_word
+from .congruence import _mod2_reduction
 from .exactmat import (
     IntMatrix,
     Lattice,
     Vector,
     _coordinates,
+    _identity_rows,
     _matmul,
     _mod2_pivots,
     _rank_mod3,
     _rank_update,
-    element_order,
-    kernel_lattice,
+    _row_echelon,
+    _trusted,
     rank_mod2,
 )
 
@@ -157,7 +158,30 @@ def _demand_involution(M: IntMatrix) -> None:
 def eigen_lattices(P: IntMatrix) -> tuple[Lattice, Lattice]:
     """The saturated summands of vectors fixed by P and negated by P."""
     _demand_involution(P)
-    return kernel_lattice(P.shifted(-1)), kernel_lattice(P.shifted(1))
+    return _eigen_pair(P)
+
+
+def _eigen_pair(P: IntMatrix) -> tuple[Lattice, Lattice]:
+    """eigen_lattices(P) for a P already known to be an involution, from
+    one transform echelon of (P - I)^T: its kernel rows span L+ and its
+    pivot rows span Im(P - I).  As P^2 = I, L- = {v : 2v in Im(P - I)}
+    (Reiner), so L- is spanned by the pivot rows and half of each sum of
+    them that is even: one sum per GF(2) relation among their bit masks."""
+    n = P.n
+    H, _, pivots = _row_echelon(P.shifted(-1).columns(), True)
+    image = [row[:n] for row in H[: len(pivots)]]
+    halves, reduced = [], {}  # reduced: top bit -> (mask, image rows summed)
+    for i, row in enumerate(image):
+        v, c = sum(1 << j for j, x in enumerate(row) if x & 1), 1 << i
+        while v and (h := v.bit_length() - 1) in reduced:
+            v, c = v ^ reduced[h][0], c ^ reduced[h][1]
+        if v:
+            reduced[h] = v, c
+        else:
+            terms = (image[k] for k in range(i + 1) if c >> k & 1)
+            halves.append(tuple(sum(col) // 2 for col in zip(*terms)))
+    plus = Lattice(n, tuple(tuple(row[n:]) for row in H[len(pivots) :]))
+    return plus, Lattice(n, tuple(map(tuple, image + halves)))
 
 
 def residue(P: IntMatrix) -> int:
@@ -213,10 +237,11 @@ def _lifted_basis(
 
     Each residue sits at its echelon pivot column of a GF(2) matrix that
     is the identity elsewhere; that matrix is invertible, and its lift T to
-    SL(k, Z) is the change of basis.  T is a word of unit shears, so T^-1 is
-    the word reversed with each coefficient negated; applied to coordinate
-    rows from the left, that is one row subtraction per shear, in the
-    word's own order.
+    SL(k, Z), the product of its reduction word's unit shears I + E_ij, is
+    the change of basis: the new basis rows are T^T times the old, one row
+    addition j += i per shear.  T^-1 is the word reversed with each
+    coefficient negated; on coordinate rows from the left, one row
+    subtraction i -= j per shear.  Both run in the word's own order.
     """
     placed = _mod2_pivots(residues)
     if len(placed) != len(residues):
@@ -225,10 +250,9 @@ def _lifted_basis(
     cols = [[int(s == t) for s in range(k)] for t in range(k)]
     for i, pivot in placed:
         cols[pivot] = [x % 2 for x in residues[i]]
-    new, word = L.basis, []
-    if placed:
-        T, word = _lift_mod2_word(list(zip(*cols)))
-        new = _matmul(T.transpose().rows, L.basis)
+    new, word = list(L.basis), _mod2_reduction(list(zip(*cols)))
+    for i, j in word:
+        new[j] = tuple(a + b for a, b in zip(new[j], new[i]))
     pivots = [pivot for _, pivot in placed]
     order = pivots + [t for t in range(k) if t not in pivots]
 
@@ -271,7 +295,7 @@ def _canonical_form(P: IntMatrix) -> tuple[CanonicalBasis, _InverseRows]:
 
 def _construct_canonical(P: IntMatrix) -> tuple[CanonicalBasis, _InverseRows]:
     p_minus_i, p_plus_i = P.shifted(-1), P.shifted(1)
-    plus, minus = kernel_lattice(p_minus_i), kernel_lattice(p_plus_i)
+    plus, minus = _eigen_pair(P)
     res_plus = _coordinates(plus, p_plus_i.columns())
     res_minus = _coordinates(minus, p_minus_i.columns())  # = I - P mod 2
     if res_plus is None or res_minus is None:
@@ -338,23 +362,34 @@ def _modified_conjugate(
     return _rank_update(P, [[r[i] for i in S] for r in cb.U.rows], delta, inverse_rows(S))
 
 
-def _order3_witness(P: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """order3_witness(P) and its product with P."""
-    cb, inverse_rows = _canonical_form(P)
-    if cb.profile.diagonalizable:
-        raise ValueError("diagonalizable involution admits no order-three witness")
-    lo, _ = cb.layout.pairs[0]
-    witness = _modified_conjugate(
-        P, cb, inverse_rows, {(lo, lo): 1, (lo, lo + 1): -2, (lo + 1, lo): -1, (lo + 1, lo + 1): -1}
-    )
-    product = P * witness
+def _certified_witness(
+    P: IntMatrix, cb: CanonicalBasis, inverse_rows: _InverseRows, update: dict, product_ok, message
+) -> IntMatrix:
+    """W = _modified_conjugate(P, cb, inverse_rows, update), certified by
+    one product: with |det U| = 1, which canonical_form checked, W U = U B'
+    is W = U B' U^-1.  B maps the span of the updated indices S to itself
+    (checked), so B' is B off S; then W^2 = I, W has the profile of P, and
+    P W = U B B' U^-1 is as claimed exactly when the k x k blocks B'_S and
+    B_S B'_S are, by product_ok on the latter."""
+    S = sorted({k for ij in update for k in ij})
+    B = cb.block_matrix().rows
+    B2 = [list(r) for r in B]
+    for (i, j), x in update.items():
+        B2[i][j] += x
+    B_S, B2_S = (tuple(tuple(M[i][j] for j in S) for i in S) for M in (B, B2))
     if (
-        not is_involution(witness)
-        or _rank_profile(witness) != cb.profile
-        or element_order(product, 3) != 3
+        not all(map(any, B_S))
+        or _matmul(B2_S, B2_S) != _identity_rows(len(S))
+        or _rank_profile(_trusted(B2_S)) != _rank_profile(_trusted(B_S))
+        or not product_ok(_matmul(B_S, B2_S))
     ):
-        raise RuntimeError("order-three witness postcondition violated")
-    return witness, product
+        raise RuntimeError(message)
+    W = _modified_conjugate(P, cb, inverse_rows, update)
+    # column j of U B' combines the columns of U by column j of B', which
+    # has one nonzero entry off S
+    if (W * cb.U).columns() != _matmul(tuple(zip(*B2)), cb.U.columns()):
+        raise RuntimeError(message)
+    return W
 
 
 def order3_witness(P: IntMatrix) -> IntMatrix:
@@ -364,11 +399,27 @@ def order3_witness(P: IntMatrix) -> IntMatrix:
     In canonical coordinates the first swap block is replaced by
     [[1, -1], [0, -1]]; the swap times that block is a rotation of order 3.
     """
-    return _order3_witness(P)[0]
+    cb, inverse_rows = _canonical_form(P)
+    if cb.profile.diagonalizable:
+        raise ValueError("diagonalizable involution admits no order-three witness")
+    lo, _ = cb.layout.pairs[0]
+    update = {(lo, lo): 1, (lo, lo + 1): -2, (lo + 1, lo): -1, (lo + 1, lo + 1): -1}
+    I2 = _identity_rows(2)
+    return _certified_witness(
+        P, cb, inverse_rows, update, lambda C: C != I2 and _matmul(C, _matmul(C, C)) == I2,
+        "order-three witness postcondition violated",
+    )
 
 
-def _four_involution_witness(P: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """four_involution_witness(P) and its product with P."""
+def four_involution_witness(P: IntMatrix) -> IntMatrix:
+    """A conjugate P' of P whose product with P is a 4-involution.
+
+    Needs P non-diagonalizable, not a 1-permutation, and rank at least 9
+    (the product negates four basis vectors and must fix more than four).
+    The four modified canonical vectors are two swap pairs when p >= 2,
+    otherwise the swap pair plus one fixed and one negated vector; on them
+    P P' is -I.
+    """
     cb, inverse_rows = _canonical_form(P)
     prof = cb.profile
     if prof.diagonalizable:
@@ -382,26 +433,10 @@ def _four_involution_witness(P: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         update[lo, lo + 1] = update[lo + 1, lo] = -2
     if prof.p == 1:
         update[0, 0], update[prof.a, prof.a] = -2, 2
-    witness = _modified_conjugate(P, cb, inverse_rows, update)
-    product = P * witness
-    if (
-        not is_involution(witness)
-        or _rank_profile(witness) != prof
-        or classify(product) != InvolutionKind(GAMMA_INVOLUTION, 4)
-    ):
-        raise RuntimeError("four-involution witness postcondition violated")
-    return witness, product
-
-
-def four_involution_witness(P: IntMatrix) -> IntMatrix:
-    """A conjugate P' of P whose product with P is a 4-involution.
-
-    Needs P non-diagonalizable, not a 1-permutation, and rank at least 9
-    (the product negates four basis vectors and must fix more than four).
-    The four modified canonical vectors are two swap pairs when p >= 2,
-    otherwise the swap pair plus one fixed and one negated vector.
-    """
-    return _four_involution_witness(P)[0]
+    return _certified_witness(
+        P, cb, inverse_rows, update, lambda C: _trusted(C) == -IntMatrix.identity(4),
+        "four-involution witness postcondition violated",
+    )
 
 
 def standard_commuting_family(n: int) -> list[IntMatrix]:

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glnz import congruence, involution, transvection, verify
+from glnz import cli, congruence, involution, transvection, verify
 from glnz.cli import _encode_int, main, matrix_payload, parse_matrix_document
 from glnz.exactmat import IntMatrix
 from test_congruence import determinant_not_one_inputs, refuse_det  # noqa: F401 (a fixture)
+from test_involution import shear_conjugate
 
 SWAP_DOC = '{"n": 2, "rows": [[0, 1], [1, 0]]}'
 
@@ -606,6 +607,45 @@ class TestInternalError:
         assert code == 5
         assert out == ""
         assert err == "internal error: factorization does not reproduce the input\n"
+
+    def test_involutive_wrong_four_witness_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(involution, "_modified_conjugate", shear_conjugate)
+        doc = json.dumps(matrix_payload(involution.canonical_block(4, 3, 1)))
+        code, out, err = run_cli(capsys, ["witness", "--four"], doc, monkeypatch)
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: four-involution witness postcondition violated\n"
+
+
+class TestResourceCaps:
+    """Over a cap the CLI exits 3 before any matrix is built; only the
+    error path is run."""
+
+    @pytest.mark.parametrize(
+        "n,trials",
+        [(cli._MAX_VERIFY_N + 1, 1), (3, cli._MAX_VERIFY_TRIALS + 1), (10**30, 10**30)],
+    )
+    def test_verify_over_cap_exits_3(self, capsys, monkeypatch, n, trials):
+        monkeypatch.setattr(verify, "run_suite", pytest.fail)
+        code, out, err = run_cli(
+            capsys,
+            ["verify", "--suite", "MU_SURJ", "--n", str(n), "--trials", str(trials), "--seed", "0"],
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: --n is capped at {cli._MAX_VERIFY_N}"
+            f" and --trials at {cli._MAX_VERIFY_TRIALS}\n"
+        )
+
+    @pytest.mark.parametrize("command", [["classify"], ["canon"], ["factor"], ["gamma", "--m", "2"]])
+    def test_document_over_cap_exits_3(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "_trusted", pytest.fail)
+        doc = json.dumps({"n": cli._MAX_DOCUMENT_N + 1, "rows": [[0]]})
+        code, out, err = run_cli(capsys, command, doc, monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert err == f'error: "n" is capped at {cli._MAX_DOCUMENT_N}\n'
 
 
 @contextlib.contextmanager

@@ -10,6 +10,7 @@ from glnz.congruence import (
     ElementaryFactor,
     Factorization,
     _lift_mod2_word,
+    _mod2_reduction,
     braid_involution_solutions,
     commutator_identities,
     elementary_factorization,
@@ -483,3 +484,15 @@ class TestLiftMod2:
             M = lift_mod2(rows)
             assert M.det() == 1
             assert [[x % 2 for x in r] for r in M.rows] == rows
+
+    def test_mod2_reduction_is_the_lift_word(self):
+        # the canonical basis lifts its change of basis by these row
+        # additions alone, without forming the lift
+        rng = random.Random(24)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            while True:
+                rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+                if rank_mod2(IntMatrix(tuple(tuple(r) for r in rows))) == n:
+                    break
+            assert _mod2_reduction(rows) == _lift_mod2_word(rows)[1]

@@ -316,10 +316,8 @@ class TestLowRankWitnessOracle:
         assert inverse_rows([n - 1, 0]) == [U_inv.rows[n - 1], U_inv.rows[0]]
 
         lo = a + b
-        W, PW = involution._order3_witness(P)
         changes = {(lo, lo): 1, (lo, lo + 1): -1, (lo + 1, lo): 0, (lo + 1, lo + 1): -1}
-        assert W == order3_witness(P) == old_modified_conjugate(cb, changes)
-        assert PW == P * W
+        assert order3_witness(P) == old_modified_conjugate(cb, changes)
         if n < 9 or (p == 1 and 0 in (a, b)):
             return
         changes = {}
@@ -327,9 +325,7 @@ class TestLowRankWitnessOracle:
             changes[lo, lo + 1] = changes[lo + 1, lo] = -1
         if p == 1:
             changes[0, 0], changes[a, a] = -1, 1
-        W, PW = involution._four_involution_witness(P)
-        assert W == four_involution_witness(P) == old_modified_conjugate(cb, changes)
-        assert PW == P * W
+        assert four_involution_witness(P) == old_modified_conjugate(cb, changes)
 
 
 def non_involutions():
@@ -531,3 +527,138 @@ def test_rank_profile_matches_eigen_lattices(seed):
         plus, minus = eigen_lattices(P)
         assert (plus.rank, minus.rank) == (a + p, b + p)
         assert profile(P) == InvolutionProfile(a, b, p)
+
+
+SHAPES_TO_10 = [
+    (a, n - 2 * p - a, p)
+    for n in range(1, 11)
+    for p in range(n // 2 + 1)
+    for a in range(n - 2 * p + 1)
+]
+
+
+def big_conjugate(B, seed, digits=20):
+    """A conjugate of B by a seeded unimodular word, the word grown until
+    the largest entry has at least the given number of digits."""
+    if B.is_identity() or (-B).is_identity():
+        return B
+    length = 10
+    while True:
+        P = conj(B, random_unimodular(B.n, length, 9, seed))
+        if max(len(str(abs(x))) for r in P.rows for x in r) >= digits:
+            return P
+        length += 5
+
+
+class TestEigenPairOracle:
+    """_eigen_pair reads L+ and L- off one echelon of (P - I)^T, L- by
+    halving the even sums of the image rows; kernel_lattice of P -+ I is
+    the reference."""
+
+    def test_table_has_rank_one_and_central_shapes(self):
+        assert {(1, 0, 0), (0, 1, 0), (10, 0, 0), (0, 10, 0)} <= set(SHAPES_TO_10)
+
+    @pytest.mark.parametrize("shape", SHAPES_TO_10, ids=str)
+    def test_matches_kernel_lattices(self, shape):
+        import glnz.involution as involution
+        from glnz.exactmat import kernel_lattice
+
+        a, b, p = shape
+        n = a + b + 2 * p
+        B = canonical_block(a, b, p)
+        seed = 1000 * n + 10 * a + p
+        for P in (B, conj(B, random_unimodular(n, 8, 3, seed)), big_conjugate(B, seed)):
+            expected = (kernel_lattice(P.shifted(-1)), kernel_lattice(P.shifted(1)))
+            assert involution._eigen_pair(P) == expected == eigen_lattices(P)
+            assert (expected[0].rank, expected[1].rank) == (a + p, b + p)
+
+    def test_big_conjugates_have_20_to_40_digits(self):
+        for a, b, p in [(2, 1, 2), (0, 3, 3), (4, 4, 1)]:
+            P = big_conjugate(canonical_block(a, b, p), 7)
+            assert 20 <= max(len(str(abs(x))) for r in P.rows for x in r) <= 40
+
+
+def witness_updates(monkeypatch, witness, P):
+    """The (canonical basis, update) pairs the witness passes on."""
+    import glnz.involution as involution
+
+    seen = []
+    real = involution._modified_conjugate
+    monkeypatch.setattr(
+        involution,
+        "_modified_conjugate",
+        lambda P, cb, rows, update: seen.append((cb, update)) or real(P, cb, rows, update),
+    )
+    witness(P)
+    return seen
+
+
+class TestWitnessBlockFacts:
+    """Each update changes B only on a set S of indices that B maps to
+    itself, and on S the k x k blocks give the claims: B'_S^2 = I, B'_S
+    has the profile of B_S, and B_S B'_S has order 3 (order-three
+    witness) or is -I_4 (four-involution witness)."""
+
+    @pytest.mark.parametrize(
+        "witness,shape",
+        [
+            (order3_witness, (1, 2, 1)),
+            (order3_witness, (0, 0, 3)),
+            (four_involution_witness, (3, 2, 2)),
+            (four_involution_witness, (0, 1, 4)),
+            (four_involution_witness, (4, 3, 1)),
+            (four_involution_witness, (1, 6, 1)),
+        ],
+        ids=str,
+    )
+    def test_block_facts(self, monkeypatch, witness, shape):
+        B = canonical_block(*shape)
+        P = conj(B, random_unimodular(B.n, 8, 3, 5))
+        ((cb, update),) = witness_updates(monkeypatch, witness, P)
+        assert cb.block_matrix() == B
+        S = sorted({k for ij in update for k in ij})
+        assert len(S) == (2 if witness is order3_witness else 4)
+        assert all(B.rows[i][j] == 0 for i in S for j in range(B.n) if j not in S)
+        B_S = IntMatrix(tuple(tuple(B.rows[i][j] for j in S) for i in S))
+        B2_S = IntMatrix(
+            tuple(tuple(B.rows[i][j] + update.get((i, j), 0) for j in S) for i in S)
+        )
+        assert (B2_S * B2_S).is_identity()
+        assert profile(B2_S) == profile(B_S)
+        if witness is order3_witness:
+            assert element_order(B_S * B2_S, 3) == 3
+        else:
+            assert B_S * B2_S == -IntMatrix.identity(4)
+
+    @pytest.mark.parametrize(
+        "witness,P,message",
+        [
+            (order3_witness, canonical_block(1, 1, 2), "order-three"),
+            (four_involution_witness, canonical_block(4, 3, 1), "four-involution"),
+        ],
+    )
+    def test_witness_plus_e00_fails_the_certificate(self, monkeypatch, witness, P, message):
+        import glnz.involution as involution
+
+        real = involution._modified_conjugate
+        e00 = IntMatrix.diagonal([1] + [0] * (P.n - 1))
+        monkeypatch.setattr(
+            involution, "_modified_conjugate", lambda *args: real(*args) + e00
+        )
+        with pytest.raises(RuntimeError, match=f"{message} witness postcondition violated"):
+            witness(P)
+
+
+def shear_conjugate(P, cb, inverse_rows, update):
+    """A wrong witness that is still an involution of P's class: V P V^-1
+    for the unit shear V = I + E_08."""
+    V = IntMatrix.elementary(P.n, 0, 8, 1)
+    return V * P * V.inverse()
+
+
+def test_involutive_wrong_four_witness_is_a_postcondition_failure(monkeypatch):
+    import glnz.involution as involution
+
+    monkeypatch.setattr(involution, "_modified_conjugate", shear_conjugate)
+    with pytest.raises(RuntimeError, match="four-involution witness postcondition violated"):
+        four_involution_witness(canonical_block(4, 3, 1))

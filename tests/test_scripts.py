@@ -1,4 +1,5 @@
-"""The experiment scripts run to completion at their smallest sizes."""
+"""The experiment scripts run to completion at their smallest sizes, and
+the output dump that compares two checkouts runs at all."""
 
 import subprocess
 import sys
@@ -14,6 +15,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     [
         ("factor_lengths.py", ["--samples", "5", "--max-rank", "3"]),
         ("involution_census.py", ["--n", "3", "--per-class", "1"]),
+        ("output_dump.py", []),
     ],
 )
 def test_script_exits_0(script, argv):

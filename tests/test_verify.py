@@ -265,6 +265,19 @@ def test_library_type_error_is_a_crash(monkeypatch):
         assert all(len(phi) == 4 for pair in f["inputs"]["pairs"] for phi in pair)
 
 
+def test_involutive_wrong_four_witness_is_a_postcondition(monkeypatch):
+    # a wrong witness that is still an involution of P's class fails the
+    # witness certificate, a library self-check, not a crash
+    import glnz.involution as involution
+    from test_involution import shear_conjugate
+
+    monkeypatch.setattr(involution, "_modified_conjugate", shear_conjugate)
+    report = run_suite("L1_5", 9, 3, seed=1)
+    assert [(f["trial"], f["category"], f["reason"]) for f in report.failures] == [
+        (t, "postcondition", "four-involution witness postcondition violated") for t in range(3)
+    ]
+
+
 def test_sampler_fault_is_a_postcondition(monkeypatch):
     # a sample that leaves its class is a broken library invariant, not a
     # counterexample; the sampler returned nothing, so the record is empty
