@@ -638,7 +638,9 @@ class TestResourceCaps:
             f" and --trials at {cli._MAX_VERIFY_TRIALS}\n"
         )
 
-    @pytest.mark.parametrize("command", [["classify"], ["canon"], ["factor"], ["gamma", "--m", "2"]])
+    @pytest.mark.parametrize(
+        "command", [["classify"], ["canon"], ["factor"], ["gamma", "--m", "2"]]
+    )
     def test_document_over_cap_exits_3(self, capsys, monkeypatch, command):
         monkeypatch.setattr(cli, "_trusted", pytest.fail)
         doc = json.dumps({"n": cli._MAX_DOCUMENT_N + 1, "rows": [[0]]})
