@@ -20,7 +20,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=20250810)
     args = parser.parse_args()
 
-    from glnz.congruence import elementary_factorization, factor_mod2_classes
+    from glnz.congruence import elementary_factorization
     from glnz.exactmat import random_elementary_word
 
     rng = random.Random(args.seed)
@@ -36,9 +36,8 @@ def main() -> int:
             print("round trip failed", file=sys.stderr)
             return 1
         by_rank.setdefault(n, []).append(len(factorization))
-        classes = factor_mod2_classes(factorization)
-        even_factors += sum(c.trivial_mod2 for c in classes)
-        total_factors += len(classes)
+        even_factors += sum(c % 2 == 0 for _, _, c in factorization.factors)
+        total_factors += len(factorization)
 
     print(f"{args.samples} samples, word length <= {args.max_word}, "
           f"entries <= {args.entry_bound}")

@@ -177,17 +177,17 @@ def cmd_canon(args) -> int:
 
 def cmd_factor(args) -> int:
     M = _read_document(args.file)
-    word = congruence._elementary_word(M)
+    F = congruence.elementary_factorization(M)
     # an even shear I + c E_ij is the square of I + (c/2) E_ij
     _emit(
         {
-            "n": M.n,
-            "length": len(word),
-            "round_trip": True,  # _elementary_word checked the product
+            "n": F.n,
+            "length": len(F),
+            "round_trip": True,  # elementary_factorization checked the product
             "factors": [
                 {"i": i, "j": j, "c": _encode_int(c), "trivial_mod2": c % 2 == 0,
                  "square_root_c": None if c % 2 else _encode_int(c // 2)}
-                for i, j, c in word
+                for i, j, c in F.factors
             ],
         }
     )

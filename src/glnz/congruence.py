@@ -13,13 +13,10 @@ from .exactmat import IntMatrix, _euclid_column, _shear_word
 
 __all__ = [
     "CommutatorReport",
-    "ElementaryFactor",
-    "FactorClass",
     "Factorization",
     "braid_involution_solutions",
     "commutator_identities",
     "elementary_factorization",
-    "factor_mod2_classes",
     "in_gamma",
     "lift_mod2",
     "lift_row_to_sl3",
@@ -28,35 +25,19 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ElementaryFactor:
-    """A shear I + c*E_ij with i != j and c != 0 (indices 0-based)."""
-
-    i: int
-    j: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise ValueError("shear indices must differ")
-        if self.c == 0:
-            raise ValueError("shear coefficient must be nonzero")
-
-    def matrix(self, n: int) -> IntMatrix:
-        return IntMatrix.elementary(n, self.i, self.j, self.c)
-
-
-@dataclass(frozen=True)
 class Factorization:
-    """Ordered shear factors whose left-to-right product is the target."""
+    """Ordered shears (i, j, c), each I + c*E_ij with i != j (indices
+    0-based), whose left-to-right product is the target.  An even shear
+    is the square of its half, (i, j, c // 2)."""
 
     n: int
-    factors: tuple[ElementaryFactor, ...]
+    factors: tuple[tuple[int, int, int], ...]
 
     def __len__(self) -> int:
         return len(self.factors)
 
     def product(self) -> IntMatrix:
-        return _shear_word(self.n, ((f.i, f.j, f.c) for f in self.factors))
+        return _shear_word(self.n, self.factors)
 
 
 def in_gamma(M: IntMatrix, m: int) -> bool:
@@ -79,12 +60,6 @@ def elementary_factorization(M: IntMatrix) -> Factorization:
     recorded operations invert to the factorization.  No length bound is
     promised; the length is whatever the reduction produces.
     """
-    return Factorization(M.n, tuple(ElementaryFactor(*f) for f in _elementary_word(M)))
-
-
-def _elementary_word(M: IntMatrix) -> tuple[tuple[int, int, int], ...]:
-    """The factors (i, j, c) of ``elementary_factorization(M)``, left to
-    right, checked the same way: their product is M."""
     n = M.n
     if n < 2:
         raise ValueError("rank must be at least 2")
@@ -118,30 +93,10 @@ def _elementary_word(M: IntMatrix) -> tuple[tuple[int, int, int], ...]:
                 rowop(i, col, -A[i][col])
     if any(A[i][j] != (i == j) for i in range(n) for j in range(n)):
         raise RuntimeError("reduction did not reach the identity")
-    if _shear_word(n, word) != M:
+    F = Factorization(n, tuple(word))
+    if F.product() != M:
         raise RuntimeError("factorization does not reproduce the input")
-    return tuple(word)
-
-
-@dataclass(frozen=True)
-class FactorClass:
-    """Mod-2 class of a shear factor: trivial exactly when the coefficient
-    is even, in which case the factor is the square of the half shear."""
-
-    trivial_mod2: bool
-    square_root: ElementaryFactor | None
-
-
-def factor_mod2_classes(F: Factorization) -> list[FactorClass]:
-    classes = []
-    for f in F.factors:
-        if f.c % 2 == 0:
-            classes.append(
-                FactorClass(True, ElementaryFactor(f.i, f.j, f.c // 2))
-            )
-        else:
-            classes.append(FactorClass(False, None))
-    return classes
+    return F
 
 
 def unipotent_sqrt_sl2(T: IntMatrix) -> tuple[IntMatrix, ...]:
@@ -285,23 +240,16 @@ def lift_mod2(rows) -> IntMatrix:
     singularity: at each column the earlier ones are unit vectors, so the
     matrix is singular exactly when no row from the diagonal down has a 1.
     """
-    return _lift_mod2_word(rows)[0]
-
-
-def _lift_mod2_word(rows) -> tuple[IntMatrix, list[tuple[int, int]]]:
-    """``lift_mod2(rows)`` and its shear word: the lift is the product of
-    the unit shears I + E_ij over the returned (i, j), left to right."""
     if not isinstance(rows, IntMatrix):
         rows = IntMatrix(rows)
     n, target = rows.n, rows.mod(2).rows
-    ops = _mod2_reduction(target)
-    # row additions are involutions mod 2, so the input equals the ops
-    # composed in original order; lifting each with coefficient 1 keeps
-    # the mod-2 value and determinant 1
-    M = _shear_word(n, ((i, j, 1) for i, j in ops))
+    # row additions are involutions mod 2, so the input equals the
+    # reduction's additions composed in original order; lifting each with
+    # coefficient 1 keeps the mod-2 value and determinant 1
+    M = _shear_word(n, ((i, j, 1) for i, j in _mod2_reduction(target)))
     if M.det() != 1 or M.mod(2).rows != target:
         raise RuntimeError("mod-2 lift postcondition violated")
-    return M, ops
+    return M
 
 
 def _mod2_reduction(rows) -> list[tuple[int, int]]:

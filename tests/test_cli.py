@@ -285,17 +285,15 @@ class TestFactorCommand:
         doc = json.loads(out)
         F = congruence.elementary_factorization(M)
         assert doc["length"] == len(F)
-        assert [(f["i"], f["j"], f["c"]) for f in doc["factors"]] == [
-            (f.i, f.j, f.c) for f in F.factors
-        ]
+        assert [(f["i"], f["j"], f["c"]) for f in doc["factors"]] == list(F.factors)
 
     ORACLE_INPUTS = [(2, 8, 0), (3, 15, 1), (4, 22, 2), (5, 30, 3), (6, 37, 4)]  # n, digits, seed
 
     def test_oracle_inputs_have_odd_even_and_negative_c(self):
         signs = {
-            (f.c % 2, f.c < 0)
+            (c % 2, c < 0)
             for n, digits, seed in self.ORACLE_INPUTS
-            for f in congruence.elementary_factorization(
+            for _, _, c in congruence.elementary_factorization(
                 seeded_shear_word(random.Random(seed), n, digits)
             ).factors
         }
@@ -307,25 +305,16 @@ class TestFactorCommand:
         assert max(len(str(abs(x))) for r in M.rows for x in r) >= digits
         doc = json.dumps(matrix_payload(M))
         F = congruence.elementary_factorization(M)
-        classes = congruence.factor_mod2_classes(F)
         expected = json.dumps({
             "n": F.n,
             "length": len(F),
             "round_trip": True,
             "factors": [
-                {"i": f.i, "j": f.j, "c": _encode_int(f.c), "trivial_mod2": cls.trivial_mod2,
-                 "square_root_c": _encode_int(cls.square_root.c) if cls.square_root else None}
-                for f, cls in zip(F.factors, classes)
+                {"i": i, "j": j, "c": _encode_int(c), "trivial_mod2": c % 2 == 0,
+                 "square_root_c": None if c % 2 else _encode_int(c // 2)}
+                for i, j, c in F.factors
             ],
         }) + "\n"
-        assert run_cli(capsys, ["factor"], doc, monkeypatch) == (0, expected, "")
-
-        # the command builds no factor or class objects
-        def refuse(*args, **kwargs):
-            raise AssertionError("factor object built")
-
-        monkeypatch.setattr(congruence, "ElementaryFactor", refuse)
-        monkeypatch.setattr(congruence, "FactorClass", refuse)
         assert run_cli(capsys, ["factor"], doc, monkeypatch) == (0, expected, "")
 
     def test_determinant_minus_one_exits_3(self, capsys, monkeypatch):
@@ -339,6 +328,35 @@ class TestFactorCommand:
             doc = json.dumps(matrix_payload(M))
             code, out, err = run_cli(capsys, ["factor"], doc, monkeypatch)
             assert (code, out, err) == (3, "", "error: determinant must be 1\n")
+
+
+class TestFactorMod2Classes:
+    """Each input is a single shear I + c E_ij at n = 3, which factors as
+    itself; an even one is the square of its half shear."""
+
+    def factor_of(self, capsys, monkeypatch, i, j, c):
+        doc = json.dumps(matrix_payload(IntMatrix.elementary(3, i, j, c)))
+        code, out, err = run_cli(capsys, ["factor"], doc, monkeypatch)
+        assert (code, err) == (0, "")
+        (f,) = json.loads(out)["factors"]
+        assert (f["i"], f["j"], f["c"]) == (i, j, c)
+        return f
+
+    def test_even_factor_has_square_root(self, capsys, monkeypatch):
+        f = self.factor_of(capsys, monkeypatch, 0, 1, 2)
+        assert f["trivial_mod2"] is True and f["square_root_c"] == 1
+        root = IntMatrix.elementary(3, 0, 1, f["square_root_c"])
+        assert root**2 == IntMatrix.elementary(3, 0, 1, 2)
+
+    def test_odd_factor(self, capsys, monkeypatch):
+        f = self.factor_of(capsys, monkeypatch, 0, 1, 1)
+        assert f["trivial_mod2"] is False and f["square_root_c"] is None
+
+    def test_negative_even(self, capsys, monkeypatch):
+        f = self.factor_of(capsys, monkeypatch, 1, 2, -4)
+        assert f["trivial_mod2"] is True and f["square_root_c"] == -2
+        root = IntMatrix.elementary(3, 1, 2, f["square_root_c"])
+        assert root**2 == IntMatrix.elementary(3, 1, 2, -4)
 
 
 class TestLiftCommand:
@@ -591,7 +609,7 @@ class TestInternalError:
         def broken(M):
             raise RuntimeError("factorization does not reproduce the input")
 
-        monkeypatch.setattr(congruence, "_elementary_word", broken)
+        monkeypatch.setattr(congruence, "elementary_factorization", broken)
         code, out, err = run_cli(capsys, ["factor"], SWAP_DOC, monkeypatch)
         assert code == 5
         assert out == ""
@@ -958,3 +976,81 @@ def test_every_integer_written_is_in_int64_or_a_string():
         assert list(numbers_outside_int64(value)) == [], (argv, code)
         written += 1
     assert written > 500
+
+
+# the matrix subcommands the contract fuzz drives; verify and identities
+# read no document
+FUZZ_COMMANDS = [
+    ["classify"], ["canon"], ["factor"], ["lift", "--mod2"], ["witness", "--order3"],
+    ["witness", "--four"], ["gamma", "--m", "2"], ["gamma", "--m", "3"],
+]
+FUZZ_BIG = 10**31 - 1  # entries of up to 31 digits
+FUZZ_JUNK = [True, False, 1.0, 0.5, None, [], [1], {}, "", "+1", "1e3", " 2", "0x1", "--1"]
+
+
+@st.composite
+def fuzz_matrix(draw, n):
+    """A dense integer matrix, a product of shears, or a near-involution:
+    a shear conjugate of diag(+-1) with a swap block, maybe off by one."""
+    kind = draw(st.sampled_from(["dense", "shears", "involution"]))
+    coefficient = st.one_of(st.integers(-9, 9), st.integers(-FUZZ_BIG, FUZZ_BIG))
+    if kind == "dense":
+        return [[draw(coefficient) for _ in range(n)] for _ in range(n)]
+    if kind == "shears":
+        M = IntMatrix.identity(n)
+    else:
+        rows = [list(r) for r in IntMatrix.diagonal(
+            draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))).rows]
+        if n > 1 and draw(st.booleans()):
+            rows[0][:2], rows[1][:2] = [0, 1], [1, 0]
+        M = IntMatrix(rows)
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-99, 99))
+        E = IntMatrix.elementary(n, i, j, c)
+        M = E * M if kind == "shears" else E * M * IntMatrix.elementary(n, i, j, -c)
+    rows = [list(r) for r in M.rows]
+    if kind == "involution" and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += draw(
+            st.sampled_from((1, -1)))
+    return rows
+
+
+@st.composite
+def fuzz_document(draw):
+    """The text of a matrix document: well formed with int or string
+    entries, or broken in one place, or not JSON at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(st.text(max_size=30), st.just('{"n": 2, "rows": [[1, 0], [0, 1]]')))
+    n = draw(st.integers(1, 5))
+    rows = [[str(x) if draw(st.booleans()) else x for x in row]
+            for row in draw(fuzz_matrix(n))]
+    doc = {"n": n, "rows": rows}
+    flaw = draw(st.sampled_from(["none"] * 6 + ["entry", "nested", "n", "row", "shape"]))
+    if flaw == "entry":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from(FUZZ_JUNK))
+    elif flaw == "nested":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = [rows[i][j]]
+    elif flaw == "n":
+        doc["n"] = draw(st.sampled_from([0, -1, True, 2.5, "3", None, n + 1, 10**40]))
+    elif flaw == "row":
+        rows[draw(st.integers(0, n - 1))] = draw(st.sampled_from([None, 7, "row", rows[0][:-1]]))
+    elif flaw == "shape":
+        doc = draw(st.sampled_from([rows, {"n": n}, {"rows": rows}, n]))
+    return json.dumps(doc)
+
+
+@given(st.sampled_from(FUZZ_COMMANDS), fuzz_document())
+@settings(max_examples=300, deadline=None)
+def test_matrix_commands_keep_the_exit_code_contract(argv, doc):
+    # 0 with one JSON value on stdout, or 2 (parse) / 3 (precondition)
+    # with nothing on stdout; never an internal error or a crash
+    code, out, err = run_in_process(argv, doc)
+    assert code in (0, 2, 3), (argv, doc, err)
+    if code:
+        assert out == "" and err, (argv, doc)
+    else:
+        assert err == ""
+        json.loads(out)

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from glnz import exactmat
 from glnz.congruence import (
-    ElementaryFactor,
     Factorization,
-    _lift_mod2_word,
     _mod2_reduction,
     braid_involution_solutions,
     commutator_identities,
     elementary_factorization,
-    factor_mod2_classes,
     in_gamma,
     lift_mod2,
     lift_row_to_sl3,
@@ -93,7 +90,7 @@ class TestInGamma:
 class TestElementaryFactorization:
     def test_single_shear(self):
         F = elementary_factorization(IntMatrix.elementary(2, 0, 1, 2))
-        assert [(f.i, f.j, f.c) for f in F.factors] == [(0, 1, 2)]
+        assert F.factors == ((0, 1, 2),)
 
     def test_quarter_turn(self):
         M = IntMatrix(((0, -1), (1, 0)))
@@ -108,7 +105,7 @@ class TestElementaryFactorization:
             M = random_elementary_word(n, 30, 3, rng.randrange(1 << 30))
             F = elementary_factorization(M)
             assert F.product() == M
-            assert all(f.c != 0 and f.i != f.j for f in F.factors)
+            assert all(c != 0 and i != j for i, j, c in F.factors)
 
     def test_euclid_steps_only(self, monkeypatch):
         # the factors are the Euclid steps themselves; the extended-gcd
@@ -123,7 +120,7 @@ class TestElementaryFactorization:
             assert elementary_factorization(M).product() == M
 
     def test_product_rejects_float_coefficient(self):
-        F = Factorization(3, (ElementaryFactor(0, 1, 2), ElementaryFactor(1, 2, 1.5)))
+        F = Factorization(3, ((0, 1, 2), (1, 2, 1.5)))
         with pytest.raises(TypeError):
             F.product()
 
@@ -131,7 +128,7 @@ class TestElementaryFactorization:
         # -1 used to wrap around to the last coordinate
         for i, j in ((0, -1), (-1, 0), (0, 3), (3, 1)):
             with pytest.raises(ValueError, match="out of range"):
-                Factorization(3, (ElementaryFactor(i, j, 2),)).product()
+                Factorization(3, ((i, j, 2),)).product()
 
     def test_identity_factorization_is_empty(self):
         assert len(elementary_factorization(IntMatrix.identity(3))) == 0
@@ -161,28 +158,9 @@ class TestElementaryFactorization:
             F = elementary_factorization(M)
             prod = IntMatrix.identity(n)
             for f in F.factors:
-                prod = prod * f.matrix(n).mod(2)
+                prod = prod * IntMatrix.elementary(n, *f).mod(2)
                 prod = prod.mod(2)
             assert in_gamma(M, 2) == prod.is_identity()
-
-
-class TestFactorMod2Classes:
-    def test_even_factor_has_square_root(self):
-        F = Factorization(3, (ElementaryFactor(0, 1, 2),))
-        (cls,) = factor_mod2_classes(F)
-        assert cls.trivial_mod2 and cls.square_root == ElementaryFactor(0, 1, 1)
-        root = cls.square_root.matrix(3)
-        assert root * root == F.factors[0].matrix(3)
-
-    def test_odd_factor(self):
-        F = Factorization(3, (ElementaryFactor(0, 1, 1),))
-        (cls,) = factor_mod2_classes(F)
-        assert not cls.trivial_mod2 and cls.square_root is None
-
-    def test_negative_even(self):
-        F = Factorization(3, (ElementaryFactor(1, 2, -4),))
-        (cls,) = factor_mod2_classes(F)
-        assert cls.trivial_mod2 and cls.square_root == ElementaryFactor(1, 2, -2)
 
 
 def _bounded_sqrt_search(T, bound):
@@ -467,11 +445,11 @@ class TestLiftMod2:
             expected = reference_lift_mod2_ops(rows)
         except ValueError:
             with pytest.raises(ValueError, match="singular"):
-                _lift_mod2_word(rows)
+                lift_mod2(rows)
             return
-        M, ops = _lift_mod2_word(rows)
+        ops = _mod2_reduction(rows)
         assert ops == expected
-        assert M == exactmat._shear_word(len(rows), ((i, j, 1) for i, j in ops))
+        assert lift_mod2(rows) == exactmat._shear_word(len(rows), ((i, j, 1) for i, j in ops))
 
     def test_random_large(self):
         rng = random.Random(15)
@@ -495,4 +473,7 @@ class TestLiftMod2:
                 rows = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
                 if rank_mod2(IntMatrix(tuple(tuple(r) for r in rows))) == n:
                     break
-            assert _mod2_reduction(rows) == _lift_mod2_word(rows)[1]
+            n = len(rows)
+            assert lift_mod2(rows) == exactmat._shear_word(
+                n, ((i, j, 1) for i, j in _mod2_reduction(rows))
+            )

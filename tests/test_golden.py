@@ -99,7 +99,7 @@ def _unimodular_rows(args) -> list:
 
 def _factor_triples(args) -> list:
     factors = elementary_factorization(random_elementary_word(*args)).factors
-    return [[f.i, f.j, f.c] for f in factors]
+    return [list(f) for f in factors]
 
 
 def _canonical_U_rows(args) -> list:

@@ -3,7 +3,7 @@ a fragment of its message."""
 
 import pytest
 
-from glnz.congruence import ElementaryFactor, lift_mod2
+from glnz.congruence import Factorization, lift_mod2
 from glnz.exactmat import (
     IntMatrix,
     Lattice,
@@ -23,8 +23,8 @@ I2, I3 = IntMatrix.identity(2), IntMatrix.identity(3)
 F = standard_commuting_family(3)
 
 CHECKS = {
-    "shear with i == j": (lambda: ElementaryFactor(1, 1, 2), ValueError, "indices must differ"),
-    "shear with c == 0": (lambda: ElementaryFactor(0, 1, 0), ValueError, "must be nonzero"),
+    "shear with i == j": (
+        lambda: Factorization(3, ((1, 1, 2),)).product(), ValueError, "indices must differ"),
     "ragged row_hermite": (lambda: row_hermite([[1, 2], [3]]), ValueError, "ragged matrix"),
     "non-square IntMatrix": (lambda: IntMatrix(((1, 2),)), ValueError, "square and non-empty"),
     "non-square columns": (
