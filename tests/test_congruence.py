@@ -163,6 +163,29 @@ class TestElementaryFactorization:
             assert in_gamma(M, 2) == prod.is_identity()
 
 
+class TestFactorMod2Classes:
+    """A shear factor (i, j, c) lies in the level-2 congruence subgroup
+    exactly when c is even, and then it is the square of (i, j, c / 2)."""
+
+    def factor_of(self, i, j, c):
+        E = IntMatrix.elementary(3, i, j, c)
+        assert elementary_factorization(E).factors == ((i, j, c),)
+        return E
+
+    def test_even_factor_has_square_root(self):
+        E = self.factor_of(0, 1, 2)
+        assert in_gamma(E, 2)
+        assert IntMatrix.elementary(3, 0, 1, 1) ** 2 == E
+
+    def test_odd_factor(self):
+        assert not in_gamma(self.factor_of(0, 1, 1), 2)
+
+    def test_negative_even(self):
+        E = self.factor_of(1, 2, -4)
+        assert in_gamma(E, 2)
+        assert IntMatrix.elementary(3, 1, 2, -2) ** 2 == E
+
+
 def _bounded_sqrt_search(T, bound):
     """All X with entries in [-bound, bound] and X*X = T, enumerated through
     the necessary equations b(a+d) = T[0][1] and a^2 + bc = 1."""

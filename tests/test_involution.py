@@ -609,7 +609,7 @@ class TestWitnessBlockFacts:
             (four_involution_witness, (4, 3, 1)),
             (four_involution_witness, (1, 6, 1)),
         ],
-        ids=str,
+        ids=lambda v: v.__name__ if callable(v) else str(v),
     )
     def test_block_facts(self, monkeypatch, witness, shape):
         B = canonical_block(*shape)
