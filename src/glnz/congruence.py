@@ -9,7 +9,7 @@ import operator
 from dataclasses import dataclass
 from math import gcd
 
-from .exactmat import IntMatrix, _euclid_column, _shear_word
+from .exactmat import IntMatrix, _euclid_column, _mod2_reduction, _shear_word
 
 __all__ = [
     "CommutatorReport",
@@ -250,28 +250,3 @@ def lift_mod2(rows) -> IntMatrix:
     if M.det() != 1 or M.mod(2).rows != target:
         raise RuntimeError("mod-2 lift postcondition violated")
     return M
-
-
-def _mod2_reduction(rows) -> list[tuple[int, int]]:
-    """The row additions (i, j), row i += row j, in order, that reduce the
-    square integer rows mod 2 to the identity; ValueError if they are
-    singular over GF(2)."""
-    n = len(rows)
-    # row i as a bit mask, bit j its entry j: an addition is one xor
-    rows = [sum(1 << j for j, x in enumerate(r) if x & 1) for r in rows]
-    ops: list[tuple[int, int]] = []
-    for col in range(n):
-        bit = 1 << col
-        if not rows[col] & bit:
-            pivot = next((i for i in range(col + 1, n) if rows[i] & bit), None)
-            if pivot is None:
-                raise ValueError("matrix is singular over GF(2)")
-            rows[col] ^= rows[pivot]
-            ops.append((col, pivot))
-        for i in range(n):
-            if i != col and rows[i] & bit:
-                rows[i] ^= rows[col]
-                ops.append((i, col))
-    if rows != [1 << i for i in range(n)]:
-        raise RuntimeError("GF(2) reduction did not reach the identity")
-    return ops

@@ -415,60 +415,57 @@ def content_and_primitive(v: Sequence[int]) -> tuple[int, Vector]:
 
 def rank_mod2(M: IntMatrix) -> int:
     """Rank of M over GF(2)."""
-    return len(_mod2_pivots(M.rows))
+    return len(_mod2_echelon(M.rows)[0])
 
 
-def _mod2_pivots(vectors: Iterable[Sequence[int]]) -> list[tuple[int, int]]:
-    """One GF(2) echelon pass: (index, pivot) of each vector independent
-    mod 2 of those before it, the pivot being the highest coordinate of its
-    reduced form.  Restricted to their pivots, these vectors are invertible."""
-    pivots: dict[int, int] = {}
-    kept = []
+def _mod2_echelon(vectors: Iterable[Sequence[int]]) -> tuple[list[tuple[int, int]], list[int]]:
+    """One GF(2) echelon pass over the vectors as bit masks.  kept: (index,
+    pivot) of each vector independent mod 2 of those before it, the pivot
+    being the highest coordinate of its reduced form; restricted to their
+    pivots, these vectors are invertible.  relations: for each other vector,
+    the mask of the vectors (itself included) whose sum is 0 mod 2."""
+    pivots: dict[int, tuple[int, int]] = {}  # pivot -> (reduced mask, vectors summed)
+    kept, relations = [], []
     for idx, row in enumerate(vectors):
-        v = 0
+        v, c = 0, 1 << idx
         for j, x in enumerate(row):
             if x & 1:
                 v |= 1 << j
         while v:
             h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
-                pivots[h] = v
+            if h not in pivots:
+                pivots[h] = v, c
                 kept.append((idx, h))
                 break
-    return kept
+            v, c = v ^ pivots[h][0], c ^ pivots[h][1]
+        else:
+            relations.append(c)
+    return kept, relations
 
 
-def _rank_mod3(M: IntMatrix) -> int:
-    """Rank of M over GF(3), bit-sliced (after Boothby and Bradshaw,
-    "Bitslicing and the Method of Four Russians over larger finite
-    fields"): a row is the pair of bit masks of its entries = 1 and = 2
-    mod 3, and one echelon pass pivots on the highest bit, as
-    ``_mod2_pivots`` does.  Each stored pivot row has a 1 at its pivot."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for row in M.rows:
-        ones = twos = 0
-        for j, x in enumerate(row):
-            r = x % 3
-            if r == 1:
-                ones |= 1 << j
-            elif r == 2:
-                twos |= 1 << j
-        while ones | twos:
-            h = (ones | twos).bit_length() - 1
-            if h not in pivots:
-                pivots[h] = (twos, ones) if twos >> h & 1 else (ones, twos)
-                break
-            # subtract the row's entry at h times the pivot row: add the
-            # pivot row negated (swapped masks) for a 1, as it is for a 2
-            b1, b2 = pivots[h][::-1] if ones >> h & 1 else pivots[h]
-            a_nz, b_nz = ones | twos, b1 | b2
-            ones, twos = (
-                (ones & ~b_nz) | (b1 & ~a_nz) | (twos & b2),
-                (twos & ~b_nz) | (b2 & ~a_nz) | (ones & b1),
-            )
-    return len(pivots)
+def _mod2_reduction(rows) -> list[tuple[int, int]]:
+    """The row additions (i, j), row i += row j, in order, that reduce the
+    square integer rows mod 2 to the identity; ValueError if they are
+    singular over GF(2)."""
+    n = len(rows)
+    # row i as a bit mask, bit j its entry j: an addition is one xor
+    rows = [sum(1 << j for j, x in enumerate(r) if x & 1) for r in rows]
+    ops: list[tuple[int, int]] = []
+    for col in range(n):
+        bit = 1 << col
+        if not rows[col] & bit:
+            pivot = next((i for i in range(col + 1, n) if rows[i] & bit), None)
+            if pivot is None:
+                raise ValueError("matrix is singular over GF(2)")
+            rows[col] ^= rows[pivot]
+            ops.append((col, pivot))
+        for i in range(n):
+            if i != col and rows[i] & bit:
+                rows[i] ^= rows[col]
+                ops.append((i, col))
+    if rows != [1 << i for i in range(n)]:
+        raise RuntimeError("GF(2) reduction did not reach the identity")
+    return ops
 
 
 def rational_rank(M: IntMatrix) -> int:

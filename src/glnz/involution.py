@@ -15,7 +15,6 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .congruence import _mod2_reduction
 from .exactmat import (
     IntMatrix,
     Lattice,
@@ -23,8 +22,8 @@ from .exactmat import (
     _coordinates,
     _identity_rows,
     _matmul,
-    _mod2_pivots,
-    _rank_mod3,
+    _mod2_echelon,
+    _mod2_reduction,
     _rank_update,
     _row_echelon,
     _trusted,
@@ -170,16 +169,10 @@ def _eigen_pair(P: IntMatrix) -> tuple[Lattice, Lattice]:
     n = P.n
     H, _, pivots = _row_echelon(P.shifted(-1).columns(), True)
     image = [row[:n] for row in H[: len(pivots)]]
-    halves, reduced = [], {}  # reduced: top bit -> (mask, image rows summed)
-    for i, row in enumerate(image):
-        v, c = sum(1 << j for j, x in enumerate(row) if x & 1), 1 << i
-        while v and (h := v.bit_length() - 1) in reduced:
-            v, c = v ^ reduced[h][0], c ^ reduced[h][1]
-        if v:
-            reduced[h] = v, c
-        else:
-            terms = (image[k] for k in range(i + 1) if c >> k & 1)
-            halves.append(tuple(sum(col) // 2 for col in zip(*terms)))
+    halves = [
+        tuple(sum(col) // 2 for col in zip(*(r for k, r in enumerate(image) if c >> k & 1)))
+        for c in _mod2_echelon(image)[1]
+    ]
     plus = Lattice(n, tuple(tuple(row[n:]) for row in H[len(pivots) :]))
     return plus, Lattice(n, tuple(map(tuple, image + halves)))
 
@@ -191,9 +184,9 @@ def residue(P: IntMatrix) -> int:
 
 
 def profile(P: IntMatrix) -> InvolutionProfile:
-    """Block sizes from ranks: the eigen lattices of P have ranks
-    n - rank(P - I) = a + p and n - rank(P + I) = b + p, the ranks being
-    equal over Q and over GF(3) (see ``_rank_profile``)."""
+    """Block sizes from the trace and one GF(2) rank: P is checked to be
+    an involution first, as the formula of ``_rank_profile`` is exact only
+    once P^2 = I is known."""
     _demand_involution(P)
     return _rank_profile(P)
 
@@ -201,18 +194,14 @@ def profile(P: IntMatrix) -> InvolutionProfile:
 def _rank_profile(P: IntMatrix) -> InvolutionProfile:
     """profile(P) for a P already known to be an involution.
 
-    The ranks of P - I and P + I are read over GF(3), which is exact only
-    for an involution: x^2 - 1 has the distinct roots 1 and -1 in GF(3),
-    so P mod 3 is diagonalisable and its two GF(3) ranks sum to n.  The
-    two rational ranks sum to n as well, and neither GF(3) rank exceeds
-    its rational one, so each pair is equal.  A non-involution breaks
-    this: [[3]] has rational rank 1 and GF(3) rank 0.  The swap count p
-    is the GF(2) rank of P - I.
-    """
-    P_minus_I = P.shifted(-1)
-    n, p = P.n, rank_mod2(P_minus_I)
-    a, b = n - _rank_mod3(P_minus_I) - p, n - _rank_mod3(P.shifted(1)) - p
-    if a < 0 or b < 0 or a + b + 2 * p != n:
+    P is conjugate to diag(I_a, -I_b, p swap blocks), so a + b + 2p = n,
+    trace(P) = a - b and p is the GF(2) rank of P - I (1 per swap block,
+    0 on the diagonal blocks); these give a and b.  The formula is exact
+    only once P^2 = I is known: the rotation [[0, -1], [1, 0]] gives the
+    consistent but meaningless (0, 0, 1), and [[3]] gives b < 0."""
+    n, t, p = P.n, P.trace(), rank_mod2(P.shifted(-1))
+    a, b = (n + t) // 2 - p, (n - t) // 2 - p
+    if (n + t) % 2 or a < 0 or b < 0:
         raise RuntimeError("inconsistent involution invariants")
     return InvolutionProfile(a, b, p)
 
@@ -243,7 +232,7 @@ def _lifted_basis(
     coefficient negated; on coordinate rows from the left, one row
     subtraction i -= j per shear.  Both run in the word's own order.
     """
-    placed = _mod2_pivots(residues)
+    placed = _mod2_echelon(residues)[0]
     if len(placed) != len(residues):
         raise RuntimeError("swap-pair residues are dependent mod 2")
     k = L.rank
@@ -300,7 +289,7 @@ def _construct_canonical(P: IntMatrix) -> tuple[CanonicalBasis, _InverseRows]:
     res_minus = _coordinates(minus, p_minus_i.columns())  # = I - P mod 2
     if res_plus is None or res_minus is None:
         raise RuntimeError("I + P and I - P do not map into the eigen lattices")
-    picks = [j for j, _ in _mod2_pivots(res_plus)]
+    picks = [j for j, _ in _mod2_echelon(res_plus)[0]]
     ys, fixed, lift_plus = _lifted_basis(plus, [res_plus[j] for j in picks])
     zs, negated, lift_minus = _lifted_basis(minus, [res_minus[j] for j in picks])
     # the columns of U and of U B: B negates the negated block and

@@ -31,7 +31,7 @@ from .exactmat import (
     _conjugates,
     _draws,
     _identity_rows,
-    _mod2_pivots,
+    _mod2_echelon,
     _random_word,
     _rank_update,
     _shear_word,
@@ -571,7 +571,7 @@ def _suite_mod2_lifting(n: int, rng: random.Random) -> tuple[Callable, Callable]
     def sample(t: int) -> dict:
         while True:  # only the accepted rows are wrapped
             rows = tuple(tuple([below(2) for _ in range(n)]) for _ in range(n))
-            if len(_mod2_pivots(rows)) == n:
+            if len(_mod2_echelon(rows)[0]) == n:
                 return {"Mbar": _trusted(rows)}
 
     def check(t: int, Mbar: IntMatrix) -> None:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from glnz import exactmat
 from glnz.congruence import (
     Factorization,
-    _mod2_reduction,
     braid_involution_solutions,
     commutator_identities,
     elementary_factorization,
@@ -17,7 +16,7 @@ from glnz.congruence import (
     lift_row_to_sl3,
     unipotent_sqrt_sl2,
 )
-from glnz.exactmat import IntMatrix, random_elementary_word, rank_mod2
+from glnz.exactmat import IntMatrix, _mod2_reduction, random_elementary_word, rank_mod2
 from glnz.involution import profile
 from glnz.transvection import recognize_transvection
 

@@ -7,8 +7,9 @@ and symmetrically that of I - P is 1^p 2^b 0^(a+p).
 
 The integer kernel is checked the same way: ``det``, ``inverse`` and
 ``rational_rank`` on 1- to 40-digit entries against sympy's exact
-rational linear algebra, ``_rank_mod3`` against sympy's GF(3) rank, and
-``row_hermite`` against sympy's Hermite normal form.
+rational linear algebra, ``rank_mod2`` and the GF(2) echelon
+``_mod2_echelon`` against sympy's GF(2) rank, and ``row_hermite`` against
+sympy's Hermite normal form.
 """
 
 import random
@@ -21,13 +22,15 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from glnz.exactmat import (  # noqa: E402
     IntMatrix,
-    _rank_mod3,
+    _mod2_echelon,
     random_unimodular,
+    rank_mod2,
     rational_rank,
     row_hermite,
 )
 from glnz.involution import (  # noqa: E402
     InvolutionProfile,
+    _rank_profile,
     canonical_block,
     canonical_form,
     profile,
@@ -117,27 +120,40 @@ def test_rational_rank_matches_sympy(seed):
             assert rational_rank(M) == _sympy(M).rank()
 
 
-def _sympy_rank_mod3(M):
-    return DomainMatrix.from_Matrix(_sympy(M)).convert_to(sympy.GF(3)).rank()
+def _sympy_rank_mod2(M):
+    return DomainMatrix.from_Matrix(_sympy(M)).convert_to(sympy.GF(2)).rank()
+
+
+def _assert_mod2_echelon(M):
+    n = M.n
+    kept, relations = _mod2_echelon(M.rows)
+    assert rank_mod2(M) == _sympy_rank_mod2(M) == len(kept)
+    assert len({pivot for _, pivot in kept}) == len(kept)
+    assert len(kept) + len(relations) == n
+    dependent = sorted(set(range(n)) - {i for i, _ in kept})
+    for i, mask in zip(dependent, relations):
+        assert mask.bit_length() - 1 == i
+        terms = [M.rows[k] for k in range(n) if mask >> k & 1]
+        assert all(sum(col) % 2 == 0 for col in zip(*terms))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_rank_mod3_matches_sympy(seed):
+def test_mod2_echelon_matches_sympy(seed):
     rng = random.Random(500 + seed)
     for n in range(1, 8):
         for k in range(n + 1):
-            # an n x k times k x n product plus 3 times a many-digit matrix:
-            # GF(3) rank at most k, rational rank almost always n
+            # an n x k times k x n product plus 2 times a many-digit matrix:
+            # GF(2) rank at most k, rational rank almost always n
             A = [[_entry(rng) for _ in range(k)] for _ in range(n)]
             B = [[rng.choice((0, rng.randint(-9, 9), _entry(rng))) for _ in range(n)] for _ in range(k)]
             M = IntMatrix(tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) + 3 * _entry(rng) for col in zip(*B))
-                if k else tuple(3 * _entry(rng) for _ in range(n))
+                tuple(sum(a * b for a, b in zip(row, col)) + 2 * _entry(rng) for col in zip(*B))
+                if k else tuple(2 * _entry(rng) for _ in range(n))
                 for row in A
             ))
-            assert _rank_mod3(M) == _sympy_rank_mod3(M) <= k
-            R = IntMatrix(tuple(tuple(_entry(rng) for _ in range(n)) for _ in range(n)))
-            assert _rank_mod3(R) == _sympy_rank_mod3(R)
+            assert rank_mod2(M) <= k
+            _assert_mod2_echelon(M)
+            _assert_mod2_echelon(IntMatrix(tuple(tuple(_entry(rng) for _ in range(n)) for _ in range(n))))
 
 
 INVOLUTION_SHAPES = [
@@ -150,30 +166,34 @@ INVOLUTION_SHAPES = [
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rank_mod3_is_the_rational_rank_on_involutions(seed):
-    # P mod 3 is diagonalisable, so the GF(3) ranks of P - I and P + I sum
-    # to n like the rational ones, and neither exceeds its rational rank
+    # the eigen lattices have ranks a + p and b + p over Q, and the
+    # profile reads a - b off the trace and p as the GF(2) rank of P - I
     rng = random.Random(600 + seed)
     for a, b, p in INVOLUTION_SHAPES:
         n = a + b + 2 * p
         U = random_unimodular(n, 6 * n, 99, rng.randrange(1 << 30))  # 6- to 30-digit entries
         P = U * canonical_block(a, b, p) * U.inverse()
         for c, rank in ((-1, b + p), (1, a + p)):
-            assert _rank_mod3(P.shifted(c)) == rational_rank(P.shifted(c)) == rank
+            assert rational_rank(P.shifted(c)) == rank
+        assert P.trace() == a - b
         assert profile(P) == InvolutionProfile(a, b, p)
 
 
 def test_rank_mod3_undercounts_on_non_involutions():
-    # why the profile may read GF(3) ranks only once P^2 = I is known
-    M = IntMatrix(((3,),))
-    assert (rational_rank(M), _rank_mod3(M)) == (1, 0)
-    # diag(4, -1) - I and + I have GF(3) ranks 1 and 1, rational ranks 2
-    # and 1; the GF(3) ranks sum to n as an involution's would, and would
-    # give the consistent but meaningless profile (0, 0, 1)
-    M = IntMatrix.diagonal((4, -1))
-    assert [_rank_mod3(M.shifted(c)) for c in (-1, 1)] == [1, 1]
-    assert [rational_rank(M.shifted(c)) for c in (-1, 1)] == [2, 1]
+    # why profile squares first: the trace and the GF(2) rank of P - I
+    # give the profile only once P^2 = I is known.  The rotation by a
+    # quarter turn has trace 0 and GF(2) rank 1, the consistent but
+    # meaningless profile (0, 0, 1)
+    M = IntMatrix(((0, -1), (1, 0)))
+    assert _rank_profile(M) == InvolutionProfile(0, 0, 1)
     with pytest.raises(ValueError, match="not an involution"):
         profile(M)
+    # [[3]] gives b = -1, and diag(4, -1) has n + trace odd
+    for M in (IntMatrix(((3,),)), IntMatrix.diagonal((4, -1))):
+        with pytest.raises(RuntimeError, match="inconsistent"):
+            _rank_profile(M)
+        with pytest.raises(ValueError, match="not an involution"):
+            profile(M)
 
 
 def sympy_row_hermite(rows):

@@ -273,13 +273,13 @@ class TestSharedSummandPredicate:
     @pytest.mark.parametrize("shared", [True, False])
     def test_profiles_come_from_the_eigen_lattices(self, monkeypatch, shared):
         # extremality is read from the rank-1 factorisation of P - I, not
-        # from the GF(3) ranks that profile reads a + p and b + p from
+        # from the trace and GF(2) rank that profile reads (a, b, p) from
         import glnz.involution as involution
 
-        def rank_mod3(M):
-            raise AssertionError("_rank_mod3 called")
+        def rank_profile(M):
+            raise AssertionError("_rank_profile called")
 
-        monkeypatch.setattr(involution, "_rank_mod3", rank_mod3)
+        monkeypatch.setattr(involution, "_rank_profile", rank_profile)
         P = IntMatrix.diagonal((-1, 1, 1))
         if shared:
             Q = involution_from_splitting([(0, 1, 0), (0, 0, 1)], [(1, 2, 0)])
@@ -291,7 +291,7 @@ class TestSharedSummandPredicate:
 
 
 def reference_mutual_subgroup(P, Q):
-    """mutual_subgroup by the eigen lattices and the GF(3)/GF(2) profile of
+    """mutual_subgroup by the eigen lattices and the trace/GF(2) profile of
     each input, with no rank-1 shortcut."""
     if P == Q:
         raise ValueError("involutions must be distinct")
