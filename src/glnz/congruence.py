@@ -70,12 +70,11 @@ def elementary_factorization(M: IntMatrix) -> Factorization:
     word: list[tuple[int, int, int]] = []
 
     def rowop(i: int, j: int, c: int) -> None:
-        if c:
-            A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-            word.append((i, j, -c))
+        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+        word.append((i, j, -c))
 
     for col in range(n):
-        i0 = _euclid_column(A, col, col, lambda i, j, q: rowop(i, j, -q))
+        i0 = _euclid_column(A, col, col, word)
         if i0 is None or abs(A[i0][col]) != 1:
             raise ValueError("determinant must be 1")
         if A[i0][col] == -1:

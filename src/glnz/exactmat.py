@@ -73,22 +73,12 @@ def _row_echelon(rows: Sequence[Sequence[int]], transform: bool):
     if transform:
         # U rides along as extra columns, so each row operation is one pass
         H = [r + [int(i == j) for j in range(m)] for i, r in enumerate(H)]
-
-    def axpy(dst: int, src: int, q: int) -> None:
-        H[dst] = [a - q * b for a, b in zip(H[dst], H[src])]
-
-    def combine(i: int, k: int, s: int, t: int, u: int, v: int) -> None:
-        H[i], H[k] = (
-            [s * a + t * b for a, b in zip(H[i], H[k])],
-            [u * a + v * b for a, b in zip(H[i], H[k])],
-        )
-
     pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
         if r == m:
             break
-        i0 = _euclid_column(H, col, r, axpy, combine)
+        i0 = _euclid_column(H, col, r)
         if i0 is None:
             continue
         H[r], H[i0] = H[i0], H[r]
@@ -98,15 +88,15 @@ def _row_echelon(rows: Sequence[Sequence[int]], transform: bool):
     return H, ncols, pivots
 
 
-def _euclid_column(A: list[list[int]], col: int, start: int, axpy, combine=None) -> int | None:
+def _euclid_column(A: list[list[int]], col: int, start: int, word: list | None = None) -> int | None:
     """Euclid on column col of rows start.. of A: reduce by the least |entry|
-    (lowest index on ties) with ``axpy(dst, src, q)``, dst -= q * src, until
-    one row is nonzero there.  Returns that row, or None if none is.
+    (lowest index on ties), row i -= q * row base, until one row is nonzero
+    there.  Returns that row, or None if none is.
 
-    With ``combine(i, k, s, t, u, v)``, which sets rows i, k to s*i + t*k,
-    u*i + v*k, each round ends with the unimodular extended-gcd step on the
-    least row and the least row still nonzero: gcd of the two into the
-    first, zero into the second.  Without it every step is an ``axpy``."""
+    With ``word``, every step is a shear, appended as (i, base, q), the shear
+    that undoes it.  Without it, each round ends with the unimodular
+    extended-gcd step on the least row and the least row still nonzero: gcd
+    of the two into the first, zero into the second."""
     while True:
         live = [i for i in range(start, len(A)) if A[i][col]]
         if len(live) <= 1:
@@ -114,13 +104,20 @@ def _euclid_column(A: list[list[int]], col: int, start: int, axpy, combine=None)
         live.sort(key=lambda i: (abs(A[i][col]), i))
         base = live[0]
         for i in live[1:]:
-            axpy(i, base, A[i][col] // A[base][col])
-        rest = [i for i in live[1:] if A[i][col]] if combine else ()
+            q = A[i][col] // A[base][col]
+            A[i] = [a - q * b for a, b in zip(A[i], A[base])]
+            if word is not None:
+                word.append((i, base, q))
+        rest = [i for i in live[1:] if A[i][col]] if word is None else ()
         if rest:
             k = min(rest, key=lambda i: (abs(A[i][col]), i))
             b, c = A[base][col], A[k][col]
             g, s, t = _xgcd(b, c)
-            combine(base, k, s, t, -c // g, b // g)
+            u, v = -c // g, b // g
+            A[base], A[k] = (
+                [s * x + t * y for x, y in zip(A[base], A[k])],
+                [u * x + v * y for x, y in zip(A[base], A[k])],
+            )
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -138,19 +135,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _matmul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
     """A @ B, row i being the combination of B's rows with A's row i as
-    coefficients; zero coefficients are skipped and +-1 need no product."""
+    coefficients; zero coefficients are skipped."""
     width = len(B[0])
     out = []
     for row in A:
         acc = [0] * width
         for a, brow in zip(row, B):
-            if not a:
-                continue
-            if a == 1:
-                acc = [x + y for x, y in zip(acc, brow)]
-            elif a == -1:
-                acc = [x - y for x, y in zip(acc, brow)]
-            else:
+            if a:
                 acc = [x + a * y for x, y in zip(acc, brow)]
         out.append(tuple(acc))
     return tuple(out)

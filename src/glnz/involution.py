@@ -178,9 +178,8 @@ def _eigen_pair(P: IntMatrix) -> tuple[Lattice, Lattice]:
 
 
 def residue(P: IntMatrix) -> int:
-    """GF(2) rank of P - I; equals the number p of swap pairs."""
-    _demand_involution(P)
-    return rank_mod2(P.shifted(-1))
+    """The number p of swap pairs, the GF(2) rank of P - I."""
+    return profile(P).p
 
 
 def profile(P: IntMatrix) -> InvolutionProfile:

@@ -15,6 +15,7 @@ from glnz.cli import _encode_int, main, matrix_payload, parse_matrix_document
 from glnz.exactmat import IntMatrix
 from test_congruence import determinant_not_one_inputs, refuse_det  # noqa: F401 (a fixture)
 from test_involution import shear_conjugate
+from test_scripts import child_env
 
 SWAP_DOC = '{"n": 2, "rows": [[0, 1], [1, 0]]}'
 
@@ -626,6 +627,46 @@ class TestInternalError:
         assert out == ""
         assert err == "internal error: factorization does not reproduce the input\n"
 
+    def test_unrecorded_euclid_step_exits_5(self, capsys, monkeypatch):
+        # a row step applied to the matrix but missing from the word is
+        # caught by the product check, though the reduction reaches I
+        euclid = congruence._euclid_column
+
+        def forgetful(A, col, start, word):
+            recorded = len(word)
+            i0 = euclid(A, col, start, word)
+            if len(word) > recorded:
+                word.pop()
+            return i0
+
+        monkeypatch.setattr(congruence, "_euclid_column", forgetful)
+        code, out, err = run_cli(
+            capsys, ["factor"], '{"n": 2, "rows": [[2, 1], [1, 1]]}', monkeypatch
+        )
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: factorization does not reproduce the input\n"
+
+    def test_canonical_form_internal_failure_exits_5(self, capsys, monkeypatch):
+        # a broken invariant on an involution is an internal error (exit 5);
+        # on a non-involution the input is still what is reported (exit 3)
+        def broken(L, residues):
+            raise RuntimeError("swap-pair residues are dependent mod 2")
+
+        involution._canonical_form.cache_clear()
+        monkeypatch.setattr(involution, "_lifted_basis", broken)
+        with pytest.raises(RuntimeError, match="swap-pair residues are dependent mod 2"):
+            involution.canonical_form(IntMatrix(((0, 1), (1, 0))))
+        for argv in (["canon"], ["witness", "--order3"]):
+            code, out, err = run_cli(capsys, argv, SWAP_DOC, monkeypatch)
+            assert (code, out) == (5, "")
+            assert err == "internal error: swap-pair residues are dependent mod 2\n"
+            code, out, err = run_cli(
+                capsys, argv, '{"n": 2, "rows": [[0, -1], [1, 0]]}', monkeypatch
+            )
+            assert (code, out) == (3, "")
+            assert err == "error: not an involution\n"
+
     def test_involutive_wrong_four_witness_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr(involution, "_modified_conjugate", shear_conjugate)
         doc = json.dumps(matrix_payload(involution.canonical_block(4, 3, 1)))
@@ -845,6 +886,7 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "glnz.cli", "lift", "--row", "3", "2"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["matrix"]["rows"] == [[3, 4, 0], [2, 3, 0], [0, 0, 1]]
@@ -868,6 +910,7 @@ def fresh_process(argv, stdin_text=""):
         input=stdin_text,
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     return proc.returncode, proc.stdout
 

@@ -165,7 +165,7 @@ INVOLUTION_SHAPES = [
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_rank_mod3_is_the_rational_rank_on_involutions(seed):
+def test_profile_is_trace_and_mod2_rank_on_involutions(seed):
     # the eigen lattices have ranks a + p and b + p over Q, and the
     # profile reads a - b off the trace and p as the GF(2) rank of P - I
     rng = random.Random(600 + seed)
@@ -179,7 +179,7 @@ def test_rank_mod3_is_the_rational_rank_on_involutions(seed):
         assert profile(P) == InvolutionProfile(a, b, p)
 
 
-def test_rank_mod3_undercounts_on_non_involutions():
+def test_rank_profile_needs_the_involution_check():
     # why profile squares first: the trace and the GF(2) rank of P - I
     # give the profile only once P^2 = I is known.  The rotation by a
     # quarter turn has trace 0 and GF(2) rank 1, the consistent but
