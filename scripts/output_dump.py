@@ -6,7 +6,7 @@ Several sections, one line per output:
 * the public API: the sorted public names of the ``glnz`` package, less
   its submodules, then the sorted ``__all__`` of each submodule that
   declares one;
-* every SMOKE suite configuration of ``tests/test_verify.py`` at three
+* every SMOKE suite configuration of ``tests/helpers.py`` at three
   seeds, as the report JSON without ``elapsed_ms``;
 * the exit code, stdout and stderr of each CLI subcommand on a fixed set of
   documents: canonical blocks, diagonalizable and swap-pair (p > 0)
@@ -53,19 +53,19 @@ import types
 from pathlib import Path
 
 SEEDS = (11, 2024, 777)
-TEST_VERIFY = Path(__file__).resolve().parents[1] / "tests" / "test_verify.py"
+TEST_HELPERS = Path(__file__).resolve().parents[1] / "tests" / "helpers.py"
 
 
 def smoke_configs() -> list:
-    """The SMOKE list of tests/test_verify.py, read without importing the
-    test module (which needs pytest)."""
-    tree = ast.parse(TEST_VERIFY.read_text())
+    """The SMOKE list of tests/helpers.py, read without importing the
+    test helpers."""
+    tree = ast.parse(TEST_HELPERS.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "SMOKE" for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise SystemExit(f"no SMOKE list in {TEST_VERIFY}")
+    raise SystemExit(f"no SMOKE list in {TEST_HELPERS}")
 
 
 def documents() -> list:

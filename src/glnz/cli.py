@@ -136,8 +136,8 @@ def cmd_classify(args) -> int:
         print("input is not an automorphism of Z^n", file=sys.stderr)
         return 3
     report: dict = {"n": M.n, "det": _encode_int(det)}
-    if involution.is_involution(M):
-        prof = involution._rank_profile(M)
+    prof = involution._involution_profile(M)
+    if prof is not None:
         report.update(is_involution=True, profile=[prof.a, prof.b, prof.p],
                       diagonalizable=prof.diagonalizable, residue=prof.p,
                       kind=prof.kind.name, gamma=prof.kind.gamma)

@@ -183,21 +183,23 @@ def residue(P: IntMatrix) -> int:
 
 
 def profile(P: IntMatrix) -> InvolutionProfile:
-    """Block sizes from the trace and one GF(2) rank: P is checked to be
-    an involution first, as the formula of ``_rank_profile`` is exact only
-    once P^2 = I is known."""
-    _demand_involution(P)
-    return _rank_profile(P)
+    """Block sizes from the trace and one GF(2) rank, for an involution P."""
+    prof = _involution_profile(P)
+    if prof is None:
+        raise ValueError("not an involution")
+    return prof
 
 
-def _rank_profile(P: IntMatrix) -> InvolutionProfile:
-    """profile(P) for a P already known to be an involution.
+def _involution_profile(P: IntMatrix) -> InvolutionProfile | None:
+    """profile(P), or None when P^2 != I.
 
     P is conjugate to diag(I_a, -I_b, p swap blocks), so a + b + 2p = n,
     trace(P) = a - b and p is the GF(2) rank of P - I (1 per swap block,
-    0 on the diagonal blocks); these give a and b.  The formula is exact
-    only once P^2 = I is known: the rotation [[0, -1], [1, 0]] gives the
-    consistent but meaningless (0, 0, 1), and [[3]] gives b < 0."""
+    0 on the diagonal blocks); these give a and b.  P is squared first:
+    the formula alone reads (0, 0, 1) off the rotation [[0, -1], [1, 0]]
+    and b < 0 off [[3]]."""
+    if not is_involution(P):
+        return None
     n, t, p = P.n, P.trace(), rank_mod2(P.shifted(-1))
     a, b = (n + t) // 2 - p, (n - t) // 2 - p
     if (n + t) % 2 or a < 0 or b < 0:
@@ -336,29 +338,15 @@ def canonical_form(P: IntMatrix) -> CanonicalBasis:
     return _canonical_form(P)[0]
 
 
-def _modified_conjugate(
-    P: IntMatrix,
-    cb: CanonicalBasis,
-    inverse_rows: _InverseRows,
-    update: dict[tuple[int, int], int],
-) -> IntMatrix:
-    """U B' U^-1, where B' - B, for B the canonical block of cb, is the
-    given update by position: P plus the sum over its positions of
-    (B'_ij - B_ij) U[:, i] (U^-1)[j, :], a low-rank update."""
-    S = sorted({k for ij in update for k in ij})
-    delta = [[update.get((i, j), 0) for j in S] for i in S]
-    return _rank_update(P, [[r[i] for i in S] for r in cb.U.rows], delta, inverse_rows(S))
-
-
 def _certified_witness(
     P: IntMatrix, cb: CanonicalBasis, inverse_rows: _InverseRows, update: dict, product_ok, message
 ) -> IntMatrix:
-    """W = _modified_conjugate(P, cb, inverse_rows, update), certified by
-    one product: with |det U| = 1, which canonical_form checked, W U = U B'
-    is W = U B' U^-1.  B maps the span of the updated indices S to itself
-    (checked), so B' is B off S; then W^2 = I, W has the profile of P, and
-    P W = U B B' U^-1 is as claimed exactly when the k x k blocks B'_S and
-    B_S B'_S are, by product_ok on the latter."""
+    """W = U B' U^-1 = P + U[:, S] (B'_S - B_S) (U^-1)[S, :], for B' the
+    canonical block B of cb plus the update by position, S the updated
+    indices; certified by W U = U B', as canonical_form checked |det U| = 1.
+    B maps the span of S to itself (checked), so B_S is an involution and
+    B' is B off S; then W^2 = I, W has the profile of P, and P W = U B B'
+    U^-1 is as claimed exactly when B_S B'_S is, by product_ok."""
     S = sorted({k for ij in update for k in ij})
     B = cb.block_matrix().rows
     B2 = [list(r) for r in B]
@@ -367,12 +355,12 @@ def _certified_witness(
     B_S, B2_S = (tuple(tuple(M[i][j] for j in S) for i in S) for M in (B, B2))
     if (
         not all(map(any, B_S))
-        or _matmul(B2_S, B2_S) != _identity_rows(len(S))
-        or _rank_profile(_trusted(B2_S)) != _rank_profile(_trusted(B_S))
+        or _involution_profile(_trusted(B2_S)) != _involution_profile(_trusted(B_S))
         or not product_ok(_matmul(B_S, B2_S))
     ):
         raise RuntimeError(message)
-    W = _modified_conjugate(P, cb, inverse_rows, update)
+    delta = [[x - y for x, y in zip(r2, r)] for r2, r in zip(B2_S, B_S)]
+    W = _rank_update(P, [[r[i] for i in S] for r in cb.U.rows], delta, inverse_rows(S))
     # column j of U B' combines the columns of U by column j of B', which
     # has one nonzero entry off S
     if (W * cb.U).columns() != _matmul(tuple(zip(*B2)), cb.U.columns()):

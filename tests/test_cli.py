@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from glnz import cli, congruence, involution, transvection, verify
 from glnz.cli import _encode_int, main, matrix_payload, parse_matrix_document
 from glnz.exactmat import IntMatrix
-from test_congruence import determinant_not_one_inputs, refuse_det  # noqa: F401 (a fixture)
-from test_involution import shear_conjugate
-from test_scripts import child_env
+
+from helpers import child_env, determinant_not_one_inputs, shear_conjugate
 
 SWAP_DOC = '{"n": 2, "rows": [[0, 1], [1, 0]]}'
 
@@ -331,7 +330,7 @@ class TestFactorCommand:
             assert (code, out, err) == (3, "", "error: determinant must be 1\n")
 
 
-class TestFactorMod2Classes:
+class TestFactorMod2Fields:
     """Each input is a single shear I + c E_ij at n = 3, which factors as
     itself; an even one is the square of its half shear."""
 
@@ -668,7 +667,7 @@ class TestInternalError:
             assert err == "error: not an involution\n"
 
     def test_involutive_wrong_four_witness_exits_5(self, capsys, monkeypatch):
-        monkeypatch.setattr(involution, "_modified_conjugate", shear_conjugate)
+        monkeypatch.setattr(involution, "_rank_update", shear_conjugate)
         doc = json.dumps(matrix_payload(involution.canonical_block(4, 3, 1)))
         code, out, err = run_cli(capsys, ["witness", "--four"], doc, monkeypatch)
         assert code == 5

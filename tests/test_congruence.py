@@ -20,34 +20,7 @@ from glnz.exactmat import IntMatrix, _mod2_reduction, random_elementary_word, ra
 from glnz.involution import profile
 from glnz.transvection import recognize_transvection
 
-
-def determinant_not_one_inputs() -> list:
-    """Matrices of determinant 0, -1, 2 and -2 at n = 2..6, dense from
-    shear words on both sides, small ones that end the reduction at each
-    of its three rejections, and a determinant -1 word with 30-digit
-    entries."""
-    rng = random.Random(15)
-    out = [
-        IntMatrix(((1, 1), (1, 1))),
-        IntMatrix(((2, 0), (0, 1))),
-        IntMatrix(((1, 0), (0, -1))),
-        IntMatrix(((0, 1), (1, 0))),
-    ]
-    for n in range(2, 7):
-        for d in (0, -1, 2, -2):
-            left, right = (random_elementary_word(n, 8, 3, rng.randrange(1 << 30)) for _ in "lr")
-            out.append(left * IntMatrix.diagonal([d] + [1] * (n - 1)) * right)
-    big = random_elementary_word(4, 12, 10**30, 17) * IntMatrix.diagonal((1, 1, 1, -1))
-    assert max(len(str(abs(x))) for r in big.rows for x in r) >= 30
-    return out + [big]
-
-
-@pytest.fixture
-def refuse_det(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a determinant was computed")
-
-    monkeypatch.setattr(IntMatrix, "det", refuse)
+from helpers import determinant_not_one_inputs
 
 
 class TestInGamma:
@@ -162,7 +135,7 @@ class TestElementaryFactorization:
             assert in_gamma(M, 2) == prod.is_identity()
 
 
-class TestFactorMod2Classes:
+class TestShearFactorsMod2:
     """A shear factor (i, j, c) lies in the level-2 congruence subgroup
     exactly when c is even, and then it is the square of (i, j, c / 2)."""
 

@@ -27,7 +27,7 @@ from glnz.exactmat import random_elementary_word, random_unimodular
 from glnz.involution import canonical_block, canonical_form
 from glnz.verify import _SUITES, _jsonable, run_suite
 
-from test_verify import SMOKE, report_key
+from helpers import SMOKE, report_key
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 SUITE_SEED = 2024

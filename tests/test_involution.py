@@ -34,6 +34,8 @@ from glnz.involution import (
     standard_commuting_family,
 )
 
+from helpers import shear_conjugate
+
 SWAP = IntMatrix(((0, 1), (1, 0)))
 SHEARED = IntMatrix(((1, 0), (-1, -1)))
 
@@ -274,9 +276,7 @@ class TestWitnessPostconditions:
     ):
         import glnz.involution as involution
 
-        monkeypatch.setattr(
-            involution, "_modified_conjugate", lambda P, cb, inverse_rows, update: cb.U * cb.U
-        )
+        monkeypatch.setattr(involution, "_rank_update", lambda M, left, delta, right: M + M)
         with pytest.raises(RuntimeError, match=f"{message} witness postcondition violated"):
             witness(P)
 
@@ -360,6 +360,12 @@ class TestNonInvolutionsRejected:
             with pytest.raises(ValueError, match="not an involution"):
                 build(M)
             assert demanded == [M]
+
+    def test_involution_profile_is_none(self):
+        import glnz.involution as involution
+
+        for M in non_involutions():
+            assert involution._involution_profile(M) is None
 
     def test_involutions_are_not_squared(self, monkeypatch):
         import glnz.involution as involution
@@ -517,9 +523,9 @@ ALL_SHAPES = [
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**30))
-def test_rank_profile_matches_eigen_lattices(seed):
-    # the profile comes from ranks of P -+ I; the eigen lattices it no longer
-    # builds must still have ranks a + p and b + p
+def test_profile_matches_eigen_lattice_ranks(seed):
+    # the profile comes from the trace and the GF(2) rank of P - I; the
+    # eigen lattices it does not build must still have ranks a + p and b + p
     rng = random.Random(seed)
     for a, b, p in ALL_SHAPES:
         n = a + b + 2 * p
@@ -527,6 +533,15 @@ def test_rank_profile_matches_eigen_lattices(seed):
         plus, minus = eigen_lattices(P)
         assert (plus.rank, minus.rank) == (a + p, b + p)
         assert profile(P) == InvolutionProfile(a, b, p)
+
+
+def test_involution_profile_is_the_profile_on_every_shape():
+    import glnz.involution as involution
+
+    for a, b, p in ALL_SHAPES:
+        n = a + b + 2 * p
+        P = conj(canonical_block(a, b, p), random_unimodular(n, 8, 3, 1000 * n + 10 * a + p))
+        assert involution._involution_profile(P) == profile(P) == InvolutionProfile(a, b, p)
 
 
 SHAPES_TO_10 = [
@@ -583,12 +598,13 @@ def witness_updates(monkeypatch, witness, P):
     import glnz.involution as involution
 
     seen = []
-    real = involution._modified_conjugate
-    monkeypatch.setattr(
-        involution,
-        "_modified_conjugate",
-        lambda P, cb, rows, update: seen.append((cb, update)) or real(P, cb, rows, update),
-    )
+    real = involution._certified_witness
+
+    def spy(P, cb, rows, update, *rest):
+        seen.append((cb, update))
+        return real(P, cb, rows, update, *rest)
+
+    monkeypatch.setattr(involution, "_certified_witness", spy)
     witness(P)
     return seen
 
@@ -640,25 +656,16 @@ class TestWitnessBlockFacts:
     def test_witness_plus_e00_fails_the_certificate(self, monkeypatch, witness, P, message):
         import glnz.involution as involution
 
-        real = involution._modified_conjugate
+        real = involution._rank_update
         e00 = IntMatrix.diagonal([1] + [0] * (P.n - 1))
-        monkeypatch.setattr(
-            involution, "_modified_conjugate", lambda *args: real(*args) + e00
-        )
+        monkeypatch.setattr(involution, "_rank_update", lambda *args: real(*args) + e00)
         with pytest.raises(RuntimeError, match=f"{message} witness postcondition violated"):
             witness(P)
-
-
-def shear_conjugate(P, cb, inverse_rows, update):
-    """A wrong witness that is still an involution of P's class: V P V^-1
-    for the unit shear V = I + E_08."""
-    V = IntMatrix.elementary(P.n, 0, 8, 1)
-    return V * P * V.inverse()
 
 
 def test_involutive_wrong_four_witness_is_a_postcondition_failure(monkeypatch):
     import glnz.involution as involution
 
-    monkeypatch.setattr(involution, "_modified_conjugate", shear_conjugate)
+    monkeypatch.setattr(involution, "_rank_update", shear_conjugate)
     with pytest.raises(RuntimeError, match="four-involution witness postcondition violated"):
         four_involution_witness(canonical_block(4, 3, 1))

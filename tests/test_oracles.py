@@ -30,7 +30,7 @@ from glnz.exactmat import (  # noqa: E402
 )
 from glnz.involution import (  # noqa: E402
     InvolutionProfile,
-    _rank_profile,
+    _involution_profile,
     canonical_block,
     canonical_form,
     profile,
@@ -179,19 +179,24 @@ def test_profile_is_trace_and_mod2_rank_on_involutions(seed):
         assert profile(P) == InvolutionProfile(a, b, p)
 
 
-def test_rank_profile_needs_the_involution_check():
-    # why profile squares first: the trace and the GF(2) rank of P - I
-    # give the profile only once P^2 = I is known.  The rotation by a
-    # quarter turn has trace 0 and GF(2) rank 1, the consistent but
-    # meaningless profile (0, 0, 1)
-    M = IntMatrix(((0, -1), (1, 0)))
-    assert _rank_profile(M) == InvolutionProfile(0, 0, 1)
-    with pytest.raises(ValueError, match="not an involution"):
-        profile(M)
+def test_rank_profile_needs_the_involution_check(monkeypatch):
+    # why the profile squares first: the trace and the GF(2) rank of P - I
+    # give the profile only once P^2 = I is known.  With the square
+    # skipped, the rotation by a quarter turn, of trace 0 and GF(2) rank 1,
+    # gets the consistent but meaningless profile (0, 0, 1)
+    import glnz.involution as involution
+
+    rotation = IntMatrix(((0, -1), (1, 0)))
     # [[3]] gives b = -1, and diag(4, -1) has n + trace odd
-    for M in (IntMatrix(((3,),)), IntMatrix.diagonal((4, -1))):
-        with pytest.raises(RuntimeError, match="inconsistent"):
-            _rank_profile(M)
+    inconsistent = (IntMatrix(((3,),)), IntMatrix.diagonal((4, -1)))
+    with monkeypatch.context() as patched:
+        patched.setattr(involution, "is_involution", lambda M: True)
+        assert _involution_profile(rotation) == InvolutionProfile(0, 0, 1)
+        for M in inconsistent:
+            with pytest.raises(RuntimeError, match="inconsistent"):
+                _involution_profile(M)
+    for M in (rotation, *inconsistent):
+        assert _involution_profile(M) is None
         with pytest.raises(ValueError, match="not an involution"):
             profile(M)
 

@@ -1,22 +1,16 @@
 """The experiment scripts run to completion at their smallest sizes, and
 the output dump that compares two checkouts runs at all."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import child_env
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
-
-
-def child_env() -> dict[str, str]:
-    """This environment with src first on PYTHONPATH, so that a child
-    process imports the glnz of this checkout without an install."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 @pytest.mark.parametrize(

@@ -276,10 +276,10 @@ class TestSharedSummandPredicate:
         # from the trace and GF(2) rank that profile reads (a, b, p) from
         import glnz.involution as involution
 
-        def rank_profile(M):
-            raise AssertionError("_rank_profile called")
+        def involution_profile(M):
+            raise AssertionError("_involution_profile called")
 
-        monkeypatch.setattr(involution, "_rank_profile", rank_profile)
+        monkeypatch.setattr(involution, "_involution_profile", involution_profile)
         P = IntMatrix.diagonal((-1, 1, 1))
         if shared:
             Q = involution_from_splitting([(0, 1, 0), (0, 0, 1)], [(1, 2, 0)])

@@ -10,25 +10,7 @@ from glnz.congruence import lift_row_to_sl3
 from glnz.exactmat import IntMatrix, _kernel_vectors, _xgcd, content_and_primitive
 from glnz.verify import SUITE_IDS, _SUITES, _embed2, _line_mover, _random_gamma2, run_suite
 
-
-def report_key(report):
-    d = report.to_jsonable()
-    d.pop("elapsed_ms")
-    return json.dumps(d, sort_keys=True)
-
-
-SMOKE = [
-    ("L1_3", 4, 10),
-    ("L1_4_partial", 5, 10),
-    ("L1_5", 9, 5),
-    ("L1_6", 5, 20),
-    ("L1_7", 4, 20),
-    ("P1_8", 4, 5),
-    ("P1_9", 5, 10),
-    ("C2_1_claim1", 3, 1),
-    ("C2_1_claim3", 3, 5),
-    ("MU_SURJ", 4, 20),
-]
+from helpers import SMOKE, report_key, shear_conjugate
 
 
 @pytest.mark.parametrize("suite,n,trials", SMOKE)
@@ -92,8 +74,8 @@ def test_shared_summand_suite_squares_each_sample_once(monkeypatch):
     [("L1_4_partial", 5, 40, ("phi1", "phi2")), ("L1_5", 9, 20, ("pi1", "pi2"))],
 )
 def test_involution_product_suites_square_each_product_once(monkeypatch, suite, n, trials, factors):
-    # once is_involution has squared the product, its kind is read off
-    # _rank_profile, which squares nothing
+    # _involution_profile squares the product once and reads its kind
+    # off the trace and one GF(2) rank
     from collections import Counter
 
     sample, check = _SUITES[suite][0](n, random.Random(7))
@@ -269,9 +251,8 @@ def test_involutive_wrong_four_witness_is_a_postcondition(monkeypatch):
     # a wrong witness that is still an involution of P's class fails the
     # witness certificate, a library self-check, not a crash
     import glnz.involution as involution
-    from test_involution import shear_conjugate
 
-    monkeypatch.setattr(involution, "_modified_conjugate", shear_conjugate)
+    monkeypatch.setattr(involution, "_rank_update", shear_conjugate)
     report = run_suite("L1_5", 9, 3, seed=1)
     assert [(f["trial"], f["category"], f["reason"]) for f in report.failures] == [
         (t, "postcondition", "four-involution witness postcondition violated") for t in range(3)
