@@ -33,13 +33,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--trials", type=int, help="override the trial count everywhere")
     args = parser.parse_args()
+    if args.trials is not None and args.trials < 1:
+        parser.error("--trials must be at least 1")
 
     from glnz.verify import run_suite
 
     print(f"{'suite':14s} {'n':>3s} {'trials':>7s} {'result':7s} {'ms':>7s}")
     failed = 0
     for cfg in DEFAULTS:
-        trials = args.trials or cfg.trials
+        trials = args.trials if args.trials is not None else cfg.trials
         report = run_suite(cfg.suite, cfg.n, trials, args.seed)
         status = "pass" if report.passed else f"FAIL:{len(report.failures)}"
         failed += not report.passed

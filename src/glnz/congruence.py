@@ -148,11 +148,10 @@ def braid_involution_solutions() -> tuple[IntMatrix, ...]:
 
 @dataclass(frozen=True)
 class CommutatorReport:
-    """The four rank-3 square-root candidates of the double shear, their
-    conjugates under the 3-cycle, the two commutator values, and the
+    """The four rank-3 square-root candidates of the double shear, the
+    commutator of each with its conjugate under the 3-cycle, and the
     eigenvalue -1 discrimination separating the shear from the rest."""
 
-    cycle: IntMatrix
     candidates: tuple[IntMatrix, ...]
     commutators: tuple[IntMatrix, ...]
     candidate_has_minus_one: tuple[bool, ...]
@@ -195,7 +194,6 @@ def commutator_identities() -> CommutatorReport:
     if cand_minus != (False, True, True, True) or any(comm_minus):
         raise RuntimeError("eigenvalue -1 discrimination failed")
     return CommutatorReport(
-        cycle=cycle,
         candidates=candidates,
         commutators=tuple(commutators),
         candidate_has_minus_one=cand_minus,

@@ -237,11 +237,7 @@ class IntMatrix:
             if other.n != self.n:
                 raise ValueError("dimension mismatch")
             return _trusted(_matmul(self.rows, other.rows))
-        if isinstance(other, (tuple, list)):
-            return self.apply(other)
         return NotImplemented
-
-    __matmul__ = __mul__
 
     def _entrywise(self, other, op) -> "IntMatrix":
         if not isinstance(other, IntMatrix):

@@ -54,11 +54,9 @@ __all__ = [
     "eigen_lattices",
     "four_involution_witness",
     "involution_from_splitting",
-    "involutions_conjugate",
     "is_involution",
     "order3_witness",
     "profile",
-    "residue",
     "standard_commuting_family",
 ]
 
@@ -133,16 +131,12 @@ def canonical_block(a: int, b: int, p: int) -> IntMatrix:
     if min(a, b, p) < 0:
         raise ValueError("block sizes must be non-negative")
     n = a + b + 2 * p
-    rows = [[0] * n for _ in range(n)]
-    for i in range(a):
-        rows[i][i] = 1
-    for i in range(a, a + b):
-        rows[i][i] = -1
-    for t in range(p):
-        lo = a + b + 2 * t
-        rows[lo][lo + 1] = 1
-        rows[lo + 1][lo] = 1
-    return IntMatrix(tuple(tuple(r) for r in rows))
+    rows = [list(r) for r in _identity_rows(n)]
+    for i in range(a, n):
+        rows[i][i] = -1 if i < a + b else 0
+    for lo in range(a + b, n, 2):
+        rows[lo][lo + 1] = rows[lo + 1][lo] = 1
+    return _trusted(tuple(map(tuple, rows)))
 
 
 def is_involution(M: IntMatrix) -> bool:
@@ -177,13 +171,10 @@ def _eigen_pair(P: IntMatrix) -> tuple[Lattice, Lattice]:
     return plus, Lattice(n, tuple(map(tuple, image + halves)))
 
 
-def residue(P: IntMatrix) -> int:
-    """The number p of swap pairs, the GF(2) rank of P - I."""
-    return profile(P).p
-
-
 def profile(P: IntMatrix) -> InvolutionProfile:
-    """Block sizes from the trace and one GF(2) rank, for an involution P."""
+    """Block sizes from the trace and one GF(2) rank, for an involution P.
+    A complete invariant: P and Q are conjugate in GL(n, Z) exactly when
+    profile(P) == profile(Q)."""
     prof = _involution_profile(P)
     if prof is None:
         raise ValueError("not an involution")
@@ -209,12 +200,6 @@ def _involution_profile(P: IntMatrix) -> InvolutionProfile | None:
 
 def classify(P: IntMatrix) -> InvolutionKind:
     return profile(P).kind
-
-
-def involutions_conjugate(P: IntMatrix, Q: IntMatrix) -> bool:
-    """True exactly when P and Q are conjugate in GL(n, Z); the profile is
-    a complete invariant."""
-    return profile(P) == profile(Q)
 
 
 def _lifted_basis(

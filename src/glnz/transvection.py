@@ -35,9 +35,6 @@ class TransvectionData:
     delta: Vector
     m: int
 
-    def matrix(self) -> IntMatrix:
-        return make_transvection(self.delta, self.x)
-
 
 def make_transvection(delta, x) -> IntMatrix:
     """The automorphism a -> a + delta(a) x, as a matrix I + x (x) delta."""

@@ -32,7 +32,6 @@ from glnz.involution import (
     classify,
     eigen_lattices,
     profile,
-    residue,
     standard_commuting_family,
 )
 from glnz.transvection import recognize_transvection
@@ -242,7 +241,7 @@ def test_c11_canonical_form_random_conjugates():
             plus, minus = eigen_lattices(P)
             assert plus.rank == prof.a + prof.p
             assert minus.rank == prof.b + prof.p
-            assert residue(P) == prof.p
+            assert profile(P).p == prof.p
             if plus.rank and minus.rank:
                 assert summand_index(plus, minus) == 2**prof.p
 

@@ -679,10 +679,17 @@ class TestBoundaryValidation:
 
     def test_product_with_a_vector_reads_integers(self):
         M = IntMatrix(((2, 1), (0, 1)))
-        assert M * [True, 2] == M.apply((1, 2)) == (4, 2)
-        assert all(type(x) is int for x in M * [True, 2])
+        assert M.apply([True, 2]) == M.apply((1, 2)) == (4, 2)
+        assert all(type(x) is int for x in M.apply([True, 2]))
         for v in ((1.5, 2), (1, 2.0), ("1", 2)):
+            with pytest.raises(TypeError):
+                M.apply(v)
+        # apply is the one spelling of a matrix-vector product, and * is
+        # the one spelling of a matrix product
+        for v in ((1, 2), [1, 2]):
             with pytest.raises(TypeError):
                 M * v
             with pytest.raises(TypeError):
-                M.apply(v)
+                M @ v
+        with pytest.raises(TypeError):
+            M @ M

@@ -15,7 +15,7 @@ from glnz.exactmat import (
     row_hermite,
     summand_index,
 )
-from glnz.involution import standard_commuting_family
+from glnz.involution import canonical_block, standard_commuting_family
 from glnz.transvection import make_transvection, shared_summand_predicate
 from glnz.verify import run_suite
 
@@ -30,6 +30,8 @@ CHECKS = {
     "non-square columns": (
         lambda: IntMatrix.from_columns([(1, 2), (3,)]), ValueError, "square and non-empty"),
     "empty diagonal": (lambda: IntMatrix.diagonal([]), ValueError, "square and non-empty"),
+    "empty canonical block": (
+        lambda: canonical_block(0, 0, 0), ValueError, "square and non-empty"),
     "product size mismatch": (lambda: I2 * I3, ValueError, "dimension mismatch"),
     "Lattice(0)": (lambda: Lattice(0), ValueError, "ambient rank must be positive"),
     "contains wrong length": (

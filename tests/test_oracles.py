@@ -179,7 +179,7 @@ def test_profile_is_trace_and_mod2_rank_on_involutions(seed):
         assert profile(P) == InvolutionProfile(a, b, p)
 
 
-def test_rank_profile_needs_the_involution_check(monkeypatch):
+def test_profile_needs_the_involution_check(monkeypatch):
     # why the profile squares first: the trace and the GF(2) rank of P - I
     # give the profile only once P^2 = I is known.  With the square
     # skipped, the rotation by a quarter turn, of trace 0 and GF(2) rank 1,

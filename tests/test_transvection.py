@@ -108,7 +108,7 @@ class TestRecognizeTransvection:
         assert data.delta == (0, 2, -3)
         assert data.x == (-1, 0, 0)
         assert data.m == 1
-        assert data.matrix() == M
+        assert make_transvection(data.delta, data.x) == M
 
     def test_rejects_involutions_and_higher_defect(self):
         assert recognize_transvection(IntMatrix(((0, 1), (1, 0)))) is None
@@ -126,7 +126,7 @@ class TestRecognizeTransvection:
             M = make_transvection(delta, x)
             data = recognize_transvection(M)
             assert data is not None
-            assert data.matrix() == M
+            assert make_transvection(data.delta, data.x) == M
             neg = tuple(-e for e in x), tuple(-d for d in delta)
             assert (data.x, data.delta) in ((x, tuple(delta)), neg)
             assert data.m == content_and_primitive(delta)[0]
